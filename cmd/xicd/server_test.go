@@ -371,6 +371,29 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnsupportedDeclarationIs400 is the regression test for XML
+// declarations naming a version or encoding the reader does not support:
+// they used to escape the error taxonomy as plain errors and come back as
+// 500 internal from both document endpoints.
+func TestUnsupportedDeclarationIs400(t *testing.T) {
+	h := newTestServer(t, config{}).handler()
+	db := compileSpec(t, h, dbDTD, dbXIC)
+	for _, decl := range []string{
+		`<?xml version="1.0" encoding="ISO-8859-1"?>`,
+		`<?xml version="1.1"?>`,
+	} {
+		for _, path := range []string{"/v1/specs/" + db + "/validate", "/v1/specs/" + db + "/sessions"} {
+			w := do(t, h, "POST", path, decl+"\n"+dbDocOK)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s with %s: status %d, want 400: %s", path, decl, w.Code, w.Body)
+			}
+			if env := decode[map[string]errorBody](t, w); env["error"].Kind != "parse" || env["error"].Input != "document" || env["error"].Line != 1 {
+				t.Errorf("%s with %s: error %+v", path, decl, env["error"])
+			}
+		}
+	}
+}
+
 func TestBodyLimits(t *testing.T) {
 	// JSON endpoints bound by MaxBody, validate by MaxDoc.
 	h := newTestServer(t, config{MaxBody: 1024, MaxDoc: 1024}).handler()
@@ -386,6 +409,15 @@ func TestBodyLimits(t *testing.T) {
 	w = do(t, h, "POST", "/v1/specs/"+db+"/validate", doc)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized document: status %d, want 413: %s", w.Code, w.Body)
+	}
+
+	// A cut inside a multi-byte character is still the size limit, not a
+	// syntax error: the 1024th byte starts a two-byte "é".
+	doc = "<db>" + strings.Repeat("x", 1019) + "é</db>"
+	for _, path := range []string{"/v1/specs/" + db + "/validate", "/v1/specs/" + db + "/sessions"} {
+		if w := do(t, h, "POST", path, doc); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: document cut inside a character: status %d, want 413: %s", path, w.Code, w.Body)
+		}
 	}
 }
 

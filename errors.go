@@ -1,7 +1,6 @@
 package xic
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 
@@ -131,9 +130,9 @@ func wrapConstraintsError(err error) error {
 }
 
 // wrapDocumentError lifts XML document errors into the public taxonomy.
-// Structured xmltree errors carry the line and the byte offset threaded
-// from xml.Decoder.InputOffset; bare decoder errors (which only know their
-// line) are kept as a fallback with Offset -1.
+// Every syntax and structure error of the one document reader is an
+// *xmltree.ParseError carrying the line and the byte offset at which
+// reading stopped; anything else (a failing reader) passes through.
 func wrapDocumentError(err error) error {
 	if err == nil {
 		return nil
@@ -145,10 +144,6 @@ func wrapDocumentError(err error) error {
 			off = -1 // document offset exceeds int on this platform
 		}
 		return &ParseError{Input: "document", Line: de.Line, Offset: off, Msg: de.Msg, err: err}
-	}
-	var se *xml.SyntaxError
-	if errors.As(err, &se) {
-		return &ParseError{Input: "document", Line: se.Line, Offset: -1, Msg: se.Msg, err: err}
 	}
 	return err
 }

@@ -16,15 +16,15 @@ package doccheck
 
 import (
 	"context"
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"xic/internal/constraint"
 	"xic/internal/dtd"
+	"xic/internal/xmlscan"
 	"xic/internal/xmltree"
 )
 
@@ -44,8 +44,9 @@ type Violation struct {
 	// Line is the 1-based source line of the reporting position; 0 for
 	// end-of-document verdicts with no single position.
 	Line int
-	// Offset is the byte offset from xml.Decoder.InputOffset; -1 for
-	// end-of-document verdicts.
+	// Offset is the byte offset just past the token that reported it (the
+	// element's start tag, for most violations); -1 for end-of-document
+	// verdicts.
 	Offset int64
 	// Constraint is the violated constraint; nil for DTD-conformance
 	// violations.
@@ -90,21 +91,62 @@ func (r *Report) Err() error {
 // Checker is a compiled streaming validator for one specification. It
 // holds no per-document state, so one Checker serves any number of
 // concurrent Run calls; the automata come from the shared (frozen)
-// xmltree.Validator cache.
+// xmltree.Validator cache, each fetched once per Checker.
 type Checker struct {
 	d     *dtd.DTD
 	v     *xmltree.Validator
 	sigma []constraint.Constraint
 
+	// types are the DTD's element types, indexed by symbol; syms maps a
+	// type name to its symbol.
+	types []elemType
+	syms  map[string]int32
+	// collectors is the number of collectors a pass instantiates, one per
+	// (constraint, observed type); elemType.cols indexes them.
+	collectors int
+
 	// MaxViolations bounds the report size; 0 means DefaultMaxViolations.
 	MaxViolations int
+}
+
+// elemType is what one lookup of a start tag's name resolves to.
+type elemType struct {
+	label string
+	decl  *dtd.Element
+	auto  atomic.Pointer[dtd.Automaton] // fetched from the validator on first use
+	cols  []int                         // the pass's collectors observing this type
 }
 
 // New returns a streaming checker over the DTD, its validator (whose
 // automaton cache should be compiled via CompileAll) and a constraint set
 // already validated against the DTD.
 func New(d *dtd.DTD, v *xmltree.Validator, sigma []constraint.Constraint) *Checker {
-	return &Checker{d: d, v: v, sigma: sigma}
+	names := d.Types()
+	c := &Checker{d: d, v: v, sigma: sigma, syms: make(map[string]int32, len(names)), types: make([]elemType, len(names))}
+	for i, name := range names {
+		c.syms[name] = int32(i)
+		c.types[i].label = name
+		c.types[i].decl = d.Element(name)
+	}
+	// Lay out, once, which collectors each type feeds; every pass builds
+	// its collectors in this same order.
+	_, observed, _, _ := c.newConstraintState(false)
+	c.collectors = len(observed)
+	for i, label := range observed {
+		t := &c.types[c.syms[label]] // ValidateSet has checked that the type is declared
+		t.cols = append(t.cols, i)
+	}
+	return c
+}
+
+// automaton returns the content-model automaton of a declared type.
+func (c *Checker) automaton(t *elemType) *dtd.Automaton {
+	if a := t.auto.Load(); a != nil {
+		return a
+	}
+	a := c.v.Automaton(t.label)
+	t.auto.Store(a)
+	return a
 }
 
 // Run validates one document from r in a single pass. It returns a Report
@@ -114,35 +156,51 @@ func New(d *dtd.DTD, v *xmltree.Validator, sigma []constraint.Constraint) *Check
 // *xmltree.ParseError with line and offset, context cancellation as an
 // error wrapping ctx.Err().
 func (c *Checker) Run(ctx context.Context, r io.Reader) (*Report, error) {
-	rep, _, err := c.runPass(ctx, r, false)
+	rep, _, err := c.runPass(ctx, r, false, nil)
 	return rep, err
 }
 
 // RunRetain validates like Run but additionally returns the filled
 // incremental constraint indexes (index.go), complete enough to support
 // later removal: the drop-the-index-early optimization streaming mode
-// applies once a negated key is decided is disabled. Document sessions
-// (internal/docsession) ingest through here and keep the indexes alive
-// across edits.
+// applies once a negated key is decided is disabled.
 func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Indexes, error) {
-	return c.runPass(ctx, r, true)
+	return c.runPass(ctx, r, true, nil)
 }
 
-func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Report, *Indexes, error) {
+// Sink consumes the events of a RunRetainInto pass next to the checker:
+// each start tag with its element type, each non-blank text run, and each
+// end tag with the element's content-model run after all its children
+// (nil for an undeclared type). The run and the byte slices are only
+// valid during the call.
+type Sink interface {
+	Start(label string, attrs []xmlscan.Attr)
+	Text(text []byte)
+	End(run *dtd.Run)
+}
+
+// RunRetainInto is RunRetain with a second consumer of the same pass.
+// Document sessions (internal/docsession) open through here: the sink
+// builds the tree and saves each element's content-model checkpoint
+// while the checker fills the indexes the session keeps.
+func (c *Checker) RunRetainInto(ctx context.Context, r io.Reader, sink Sink) (*Report, *Indexes, error) {
+	return c.runPass(ctx, r, true, sink)
+}
+
+func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool, sink Sink) (*Report, *Indexes, error) {
 	rn := &run{
-		c:       c,
-		lr:      xmltree.NewLineReader(r),
-		report:  &Report{},
-		max:     c.MaxViolations,
-		runPool: make(map[string][]*dtd.Run),
-		done:    ctx.Done(),
+		c:      c,
+		rd:     xmltree.NewReader(r),
+		sink:   sink,
+		report: &Report{},
+		max:    c.MaxViolations,
+		done:   ctx.Done(),
 	}
 	if rn.max <= 0 {
 		rn.max = DefaultMaxViolations
 	}
-	rn.dec = xml.NewDecoder(rn.lr)
 	var idxs *Indexes
-	rn.collectors, rn.finishers, idxs = c.newConstraintState(retain)
+	rn.collectors, _, rn.finishers, idxs = c.newConstraintState(retain)
 	if err := rn.loop(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -150,35 +208,81 @@ func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Repor
 }
 
 // frame is the retained state of one open element: constant-size except
-// for the per-label child counters that make violation paths precise.
+// for the per-type child counters that make violation paths precise,
+// which hold only the child types actually seen.
 type frame struct {
 	label       string
 	decl        *dtd.Element
-	run         *dtd.Run // nil when the element type is undeclared
-	contentBad  bool     // content model already failed; stop stepping
-	lastWasText bool     // coalesce adjacent character-data runs
-	index       int      // index among same-label siblings
-	childCounts map[string]int
+	run         *dtd.Run       // nil when the element type is undeclared
+	spare       *dtd.Run       // the stack slot's Run, reused by the next element here
+	contentBad  bool           // content model already failed; stop stepping
+	lastWasText bool           // coalesce adjacent character-data runs
+	index       int            // index among same-type siblings
+	kids        []kid          // children so far, one counter per type seen
+	wide        map[string]int // position in kids by label, once kids is long
+}
+
+// kid counts an open element's children of one type; sym is -1 for a type
+// the DTD does not declare, which label then tells apart.
+type kid struct {
+	sym   int32
+	n     int
+	label string
+}
+
+// linearKids is how many child types a frame searches linearly before it
+// indexes them by label.
+const linearKids = 8
+
+// child counts one more child of the given type and returns its index
+// among same-type siblings.
+func (f *frame) child(sym int32, label string) int {
+	i := -1
+	if f.wide != nil {
+		if j, ok := f.wide[label]; ok {
+			i = j
+		}
+	} else {
+		for j := range f.kids {
+			if k := &f.kids[j]; k.sym == sym && (sym >= 0 || k.label == label) {
+				i = j
+				break
+			}
+		}
+	}
+	if i < 0 {
+		i = len(f.kids)
+		f.kids = append(f.kids, kid{sym: sym, label: label})
+		if f.wide != nil {
+			f.wide[label] = i
+		} else if len(f.kids) > linearKids {
+			f.wide = make(map[string]int, 2*len(f.kids))
+			for j := range f.kids {
+				f.wide[f.kids[j].label] = j
+			}
+		}
+	}
+	n := f.kids[i].n
+	f.kids[i].n++
+	return n
 }
 
 // run is the per-document state of one streaming pass.
 type run struct {
 	c      *Checker
-	lr     *xmltree.LineReader
-	dec    *xml.Decoder
+	rd     *xmltree.Reader
+	sink   Sink
 	report *Report
 	max    int
 
-	frames   []frame // frames[:depth] are live; the rest are reusable
-	depth    int
-	rootSeen bool
+	frames []frame // frames[:depth] are live; the rest are reusable
+	depth  int
 
 	line int // position of the most recent token
 	off  int64
 
-	collectors map[string][]collector
+	collectors []collector // indexed by elemType.cols
 	finishers  []finisher
-	runPool    map[string][]*dtd.Run
 
 	done <-chan struct{}
 }
@@ -191,59 +295,49 @@ func (rn *run) loop(ctx context.Context) error {
 				return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
 			}
 		}
-		tok, err := rn.dec.Token()
-		rn.off = rn.dec.InputOffset()
-		if err == io.EOF {
-			break
-		}
+		k, err := rn.rd.Next()
 		if err != nil {
-			var se *xml.SyntaxError
-			if errors.As(err, &se) {
-				return &xmltree.ParseError{Line: se.Line, Offset: rn.off, Msg: se.Msg, Err: err}
-			}
-			return fmt.Errorf("doccheck: %w", err)
+			return err
 		}
-		rn.line = rn.lr.LineAt(rn.off)
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := rn.start(t); err != nil {
-				return err
-			}
-		case xml.EndElement:
+		rn.line, rn.off = rn.rd.Line(), rn.rd.Offset()
+		switch k {
+		case xmlscan.StartElement:
+			rn.start()
+		case xmlscan.EndElement:
 			rn.end()
-		case xml.CharData:
-			if err := rn.text(t); err != nil {
-				return err
+		case xmlscan.Text:
+			rn.text()
+		case xmlscan.EOF:
+			for _, f := range rn.finishers {
+				f.finish(rn)
 			}
+			return nil
 		}
 	}
-	if !rn.rootSeen {
-		return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: "no root element"}
-	}
-	for _, f := range rn.finishers {
-		f.finish(rn)
-	}
-	return nil
 }
 
-func (rn *run) start(t xml.StartElement) error {
-	label := t.Name.Local
-	if pe := xmltree.AttrCollisionError(t, rn.line, rn.off); pe != nil {
-		return pe
+// resolve looks an element name up once: its symbol and type, or -1, nil
+// and a copy of the name for a type the DTD does not declare (the cold
+// path of invalid documents).
+func (rn *run) resolve(name []byte) (int32, *elemType, string) {
+	if sym, ok := rn.c.syms[string(name)]; ok {
+		t := &rn.c.types[sym]
+		return sym, t, t.label
 	}
+	return -1, nil, string(name)
+}
+
+func (rn *run) start() {
+	sym, t, label := rn.resolve(rn.rd.Name())
+	attrs := rn.rd.Attrs()
 	index := 0
 	if rn.depth == 0 {
-		if rn.rootSeen {
-			return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: fmt.Sprintf("multiple root elements (second is %q)", label)}
-		}
-		rn.rootSeen = true
 		if label != rn.c.d.Root {
 			rn.violate(nil, label, "root is %q, DTD requires %q", label, rn.c.d.Root)
 		}
 	} else {
 		parent := &rn.frames[rn.depth-1]
-		index = parent.childCounts[label]
-		parent.childCounts[label]++
+		index = parent.child(sym, label)
 		parent.lastWasText = false
 		if parent.run != nil && !parent.contentBad && !parent.run.Step(label) {
 			parent.contentBad = true
@@ -252,47 +346,41 @@ func (rn *run) start(t xml.StartElement) error {
 				rn.path(rn.depth), parent.decl.Content, label)
 		}
 	}
-	decl := rn.c.d.Element(label)
-	rn.push(label, decl, index)
+	rn.push(t, label, index)
 	rn.report.Elements++
-	if decl == nil {
+	if t == nil {
 		rn.violate(nil, rn.path(rn.depth), "element type %q is not declared", label)
 	} else {
-		rn.checkAttrs(decl, t.Attr)
+		rn.checkAttrs(t.decl, attrs)
+		for _, i := range t.cols {
+			rn.collectors[i].element(rn, attrs)
+		}
 	}
-	for _, col := range rn.collectors[label] {
-		col.element(rn, t.Attr)
+	if rn.sink != nil {
+		rn.sink.Start(label, attrs)
 	}
-	return nil
 }
 
 func (rn *run) end() {
-	if rn.depth == 0 {
-		return // decoder enforces balance; defensive
-	}
 	f := &rn.frames[rn.depth-1]
-	if f.run != nil {
-		if !f.contentBad && !f.run.Accepting() {
-			rn.violate(nil, rn.path(rn.depth),
-				"children of %s do not match content model %s: sequence is incomplete",
-				rn.path(rn.depth), f.decl.Content)
-		}
-		rn.runPool[f.label] = append(rn.runPool[f.label], f.run)
-		f.run = nil
+	if f.run != nil && !f.contentBad && !f.run.Accepting() {
+		rn.violate(nil, rn.path(rn.depth),
+			"children of %s do not match content model %s: sequence is incomplete",
+			rn.path(rn.depth), f.decl.Content)
+	}
+	if rn.sink != nil {
+		rn.sink.End(f.run)
 	}
 	rn.depth--
 }
 
-func (rn *run) text(cd xml.CharData) error {
-	if len(strings.TrimSpace(string(cd))) == 0 {
-		return nil
-	}
-	if rn.depth == 0 {
-		return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: "character data outside the root element"}
-	}
+func (rn *run) text() {
 	f := &rn.frames[rn.depth-1]
+	if rn.sink != nil {
+		rn.sink.Text(rn.rd.Text())
+	}
 	if f.lastWasText {
-		return nil // adjacent runs form one text node
+		return // adjacent runs form one text node
 	}
 	f.lastWasText = true
 	if f.run != nil && !f.contentBad && !f.run.Step(dtd.TextSymbol) {
@@ -301,57 +389,50 @@ func (rn *run) text(cd xml.CharData) error {
 			"children of %s do not match content model %s: unexpected text content",
 			rn.path(rn.depth), f.decl.Content)
 	}
-	return nil
 }
 
-// push opens a frame for an element, reusing the stack slot (and its child
-// counter map) left behind by a previous sibling subtree.
-func (rn *run) push(label string, decl *dtd.Element, index int) {
+// push opens a frame for an element of type t (nil when undeclared),
+// reusing the stack slot left behind by a previous sibling subtree: its
+// Run, rebound to t's automaton, and its child counters.
+func (rn *run) push(t *elemType, label string, index int) {
 	if rn.depth == len(rn.frames) {
 		rn.frames = append(rn.frames, frame{})
 	}
 	f := &rn.frames[rn.depth]
-	counts := f.childCounts
-	if counts == nil {
-		counts = make(map[string]int)
-	} else {
-		clear(counts)
-	}
+	spare := f.spare
+	var decl *dtd.Element
 	var ar *dtd.Run
-	if decl != nil {
-		if pool := rn.runPool[label]; len(pool) > 0 {
-			ar = pool[len(pool)-1]
-			rn.runPool[label] = pool[:len(pool)-1]
-			ar.Reset()
-		} else {
-			ar = rn.c.v.Automaton(label).Start()
-		}
+	if t != nil {
+		decl = t.decl
+		ar = rn.c.automaton(t).Reuse(spare)
+		spare = ar
 	}
-	*f = frame{label: label, decl: decl, run: ar, index: index, childCounts: counts}
+	*f = frame{label: label, decl: decl, run: ar, spare: spare, index: index, kids: f.kids[:0]}
 	rn.depth++
 }
 
 // checkAttrs verifies the element carries exactly the declared attribute
 // set R(τ): every declared attribute present, no undeclared ones.
-func (rn *run) checkAttrs(decl *dtd.Element, attrs []xml.Attr) {
+func (rn *run) checkAttrs(decl *dtd.Element, attrs []xmlscan.Attr) {
 	for _, want := range decl.Attrs {
 		if lookupAttr(attrs, want) < 0 {
 			rn.violate(nil, rn.path(rn.depth), "element %s lacks required attribute %q", rn.path(rn.depth), want)
 		}
 	}
 	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		if !decl.HasAttr(a.Name.Local) {
-			rn.violate(nil, rn.path(rn.depth), "element %s has undeclared attribute %q", rn.path(rn.depth), a.Name.Local)
+		if !declares(decl, a.Local) {
+			rn.violate(nil, rn.path(rn.depth), "element %s has undeclared attribute %q", rn.path(rn.depth), a.Local)
 		}
 	}
 }
 
 // path renders the element path of frames[:depth] in xmltree.Tree.Path
-// notation; it is only materialized when a violation needs it.
+// notation; it is only materialized when a violation needs it, and not at
+// all once the report is full.
 func (rn *run) path(depth int) string {
+	if len(rn.report.Violations) >= rn.max {
+		return ""
+	}
 	var b strings.Builder
 	for i := 0; i < depth; i++ {
 		f := &rn.frames[i]
@@ -366,28 +447,65 @@ func (rn *run) path(depth int) string {
 
 // violate appends a violation at the current stream position.
 func (rn *run) violate(c constraint.Constraint, path, format string, args ...any) {
+	if rn.full() {
+		return
+	}
 	rn.add(Violation{Path: path, Line: rn.line, Offset: rn.off, Constraint: c, Msg: fmt.Sprintf(format, args...)})
 }
 
 // add appends a violation, enforcing the report bound.
 func (rn *run) add(v Violation) {
-	if len(rn.report.Violations) >= rn.max {
-		rn.report.Truncated = true
+	if rn.full() {
 		return
 	}
 	rn.report.Violations = append(rn.report.Violations, v)
 }
 
-// lookupAttr returns the index of the attribute with the given local name,
-// skipping namespace declarations, or -1.
+// full reports whether the report has reached its bound, marking it
+// truncated: from then on violations are dropped unformatted.
+func (rn *run) full() bool {
+	if len(rn.report.Violations) >= rn.max {
+		rn.report.Truncated = true
+		return true
+	}
+	return false
+}
+
+// declares reports whether the element type declares the attribute.
 //
 //xic:hotpath
-func lookupAttr(attrs []xml.Attr, name string) int {
-	for i, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
+func declares(decl *dtd.Element, name []byte) bool {
+	for _, a := range decl.Attrs {
+		if sameName(name, a) {
+			return true
 		}
-		if a.Name.Local == name {
+	}
+	return false
+}
+
+// sameName compares a scanned name with a string without converting
+// either.
+//
+//xic:hotpath
+func sameName(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i := range b {
+		if b[i] != s[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lookupAttr returns the index of the attribute with the given local name,
+// or -1.
+//
+//xic:hotpath
+func lookupAttr(attrs []xmlscan.Attr, name string) int {
+	for i := range attrs {
+		if sameName(attrs[i].Local, name) {
 			return i
 		}
 	}
@@ -399,13 +517,13 @@ func lookupAttr(attrs []xml.Attr, name string) int {
 // no tuple, exactly as in constraint.Satisfied.
 //
 //xic:hotpath
-func tupleVals(attrs []xml.Attr, names []string, dst []string) bool {
+func tupleVals(attrs []xmlscan.Attr, names []string, dst []string) bool {
 	for i, name := range names {
 		j := lookupAttr(attrs, name)
 		if j < 0 {
 			return false
 		}
-		dst[i] = attrs[j].Value
+		dst[i] = string(attrs[j].Value) //xic:ignore hotalloc the indexes keep every tuple value they are handed: one string per indexed value
 	}
 	return true
 }
@@ -428,7 +546,7 @@ func tupleKey(vals []string) string {
 
 // collector receives every element of one type during the pass.
 type collector interface {
-	element(rn *run, attrs []xml.Attr)
+	element(rn *run, attrs []xmlscan.Attr)
 }
 
 // finisher emits the verdicts that only exist at end-of-document.
@@ -437,16 +555,18 @@ type finisher interface {
 }
 
 // newConstraintState instantiates fresh per-document collectors for the
-// compiled constraint set, grouped by the element type they observe. The
-// collectors are streaming views over the incremental indexes of
+// compiled constraint set, each with the element type it observes, in an
+// order fixed by the constraint set (New lays out elemType.cols by it).
+// The collectors are streaming views over the incremental indexes of
 // index.go; retain disables the drop-the-index-early optimization so the
 // returned Indexes stay complete and support removal.
-func (c *Checker) newConstraintState(retain bool) (map[string][]collector, []finisher, *Indexes) {
-	byLabel := make(map[string][]collector)
-	var finishers []finisher
-	idxs := &Indexes{}
+func (c *Checker) newConstraintState(retain bool) (cols []collector, observed []string, finishers []finisher, idxs *Indexes) {
+	cols = make([]collector, 0, c.collectors)
+	observed = make([]string, 0, c.collectors)
+	idxs = &Indexes{}
 	reg := func(label string, col collector) {
-		byLabel[label] = append(byLabel[label], col)
+		cols = append(cols, col)
+		observed = append(observed, label)
 	}
 	for _, con := range c.sigma {
 		switch x := con.(type) {
@@ -486,7 +606,7 @@ func (c *Checker) newConstraintState(retain bool) (map[string][]collector, []fin
 			finishers = append(finishers, ic)
 		}
 	}
-	return byLabel, finishers, idxs
+	return cols, observed, finishers, idxs
 }
 
 // keyCol enforces τ[X] → τ (for keys and the key half of foreign keys) as
@@ -499,7 +619,7 @@ type keyCol struct {
 }
 
 //xic:hotpath
-func (k *keyCol) element(rn *run, attrs []xml.Attr) {
+func (k *keyCol) element(rn *run, attrs []xmlscan.Attr) {
 	if !tupleVals(attrs, k.idx.Attrs, k.vals) {
 		return // no tuple, cannot collide (constraint.Satisfied semantics)
 	}
@@ -528,7 +648,7 @@ type notKeyCol struct {
 }
 
 //xic:hotpath
-func (n *notKeyCol) element(rn *run, attrs []xml.Attr) {
+func (n *notKeyCol) element(rn *run, attrs []xmlscan.Attr) {
 	if n.sat && !n.retain {
 		return // satisfied; index already dropped
 	}
@@ -536,7 +656,8 @@ func (n *notKeyCol) element(rn *run, attrs []xml.Attr) {
 	if j < 0 {
 		return
 	}
-	if _, dup := n.idx.Add(attrs[j].Value, SrcPos{Line: rn.line, Off: rn.off}); dup {
+	v := string(attrs[j].Value) //xic:ignore hotalloc the index keeps every value it is handed
+	if _, dup := n.idx.Add(v, SrcPos{Line: rn.line, Off: rn.off}); dup {
 		n.sat = true
 		if !n.retain {
 			n.idx.seen = nil // satisfied; stop growing the index
@@ -578,7 +699,7 @@ func newInclCol(reported constraint.Constraint, idx *InclusionIndex, neg bool) *
 type inclusionChild inclCol
 
 //xic:hotpath
-func (ic *inclusionChild) element(rn *run, attrs []xml.Attr) {
+func (ic *inclusionChild) element(rn *run, attrs []xmlscan.Attr) {
 	in := (*inclCol)(ic)
 	vals := in.vals[:len(in.idx.ChildAttrs)]
 	if !tupleVals(attrs, in.idx.ChildAttrs, vals) {
@@ -601,7 +722,7 @@ func (in *inclCol) reportLacks(rn *run) {
 type inclusionParent inclCol
 
 //xic:hotpath
-func (ip *inclusionParent) element(rn *run, attrs []xml.Attr) {
+func (ip *inclusionParent) element(rn *run, attrs []xmlscan.Attr) {
 	in := (*inclCol)(ip)
 	vals := in.vals[:len(in.idx.ParentAttrs)]
 	if !tupleVals(attrs, in.idx.ParentAttrs, vals) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,6 +222,60 @@ func TestStreamViolationCap(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("truncated report lost the verdict")
+	}
+}
+
+// TestPassMemoryFollowsTheDocument bounds what one pass allocates by the
+// document's size: the open-element stack may cost a constant per level,
+// but nothing may grow with the number of types the DTD declares or with
+// the number of distinct undeclared names seen so far.
+func TestPassMemoryFollowsTheDocument(t *testing.T) {
+	const depth = 3000
+	var types, alts strings.Builder
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&types, "<!ELEMENT t%d EMPTY>\n", i)
+		fmt.Fprintf(&alts, "|t%d", i)
+	}
+	many := "<!ELEMENT r (n, (" + alts.String()[1:] + ")*)>\n<!ELEMENT n (n?)>\n" + types.String()
+	nested := func(open, close func(i int) string) string {
+		var b strings.Builder
+		for i := 0; i < depth; i++ {
+			b.WriteString(open(i))
+		}
+		for i := depth - 1; i >= 0; i-- {
+			b.WriteString(close(i))
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		name, dtd, doc string
+		valid          bool
+	}{
+		{"many declared types", many, "<r>" + nested(
+			func(int) string { return "<n>" },
+			func(int) string { return "</n>" }) + "</r>", true},
+		{"distinct undeclared names", dbDTD, nested(
+			func(i int) string { return fmt.Sprintf("<a%d>", i) },
+			func(i int) string { return fmt.Sprintf("</a%d>", i) }), false},
+		{"one element among many types", many, "<r><n/></r>", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newChecker(t, tc.dtd, "")
+			run := func() {
+				rep := mustRun(t, c, tc.doc)
+				if rep.OK() != tc.valid {
+					t.Fatalf("valid = %v, want %v", rep.OK(), tc.valid)
+				}
+			}
+			run() // fetch the automata
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(tc.doc)+64<<10); got > limit {
+				t.Fatalf("pass over a %d-byte document allocated %d bytes, want at most %d", len(tc.doc), got, limit)
+			}
+		})
 	}
 }
 

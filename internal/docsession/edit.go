@@ -4,6 +4,7 @@ import (
 	"xic/internal/constraint"
 	"xic/internal/doccheck"
 	"xic/internal/dtd"
+	"xic/internal/xmlscan"
 	"xic/internal/xmltree"
 )
 
@@ -37,8 +38,9 @@ func SetAttr(path, attr, value string) EditOp {
 	return EditOp{Kind: OpSetAttr, Path: path, Attr: attr, Value: value}
 }
 
-// SetText returns the edit replacing the element's text content; a
-// whitespace-only value removes the text node.
+// SetText returns the edit replacing the element's text content; a value
+// of XML white space only (xmlscan.IsSpace) removes the text node, as a
+// parser drops such text.
 func SetText(path, value string) EditOp {
 	return EditOp{Kind: OpSetText, Path: path, Value: value}
 }
@@ -229,7 +231,7 @@ func (s *Session) setTextFast(op *EditOp) opStatus {
 			return opNotTextOnly
 		}
 	}
-	ws := isSpace(op.Value)
+	ws := xmlscan.IsSpace(op.Value)
 	if !ws && len(n.Children) == 1 {
 		n.Children[0].Value = op.Value
 		return opOK
@@ -638,19 +640,4 @@ func (s *Session) rollback() {
 		}
 	}
 	s.nundo = 0
-}
-
-// isSpace reports whether the string is whitespace-only in the XML
-// sense, mirroring the parser's text-node policy.
-//
-//xic:hotpath
-func isSpace(v string) bool {
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -12,6 +12,7 @@ import (
 	"xic/internal/doccheck"
 	"xic/internal/dtd"
 	"xic/internal/randgen"
+	"xic/internal/xmlscan"
 	"xic/internal/xmltree"
 )
 
@@ -45,6 +46,13 @@ func FuzzSessionAgreement(f *testing.F) {
 			t.Fatalf("reparse base: %v", err)
 		}
 		ops := RandomScript(rng, d, scriptTree, n)
+		for i := range ops {
+			// Text that is white space only outside XML's S production
+			// must stay text, for the session and the parsers alike.
+			if ops[i].Kind == OpSetText && rng.Intn(4) == 0 {
+				ops[i].Value = nonXMLSpace[rng.Intn(len(nonXMLSpace))]
+			}
+		}
 
 		for i, op := range ops {
 			shadow, applicable := shadowApply(s.Document(), op)
@@ -78,6 +86,10 @@ func FuzzSessionAgreement(f *testing.F) {
 		}
 	})
 }
+
+// nonXMLSpace are values strings.TrimSpace would empty but XML's S
+// production does not: no-break space, em space, next line.
+var nonXMLSpace = []string{"\u00a0", "\u2003", "\u0085", " \u00a0 "}
 
 // fuzzDocument derives a deterministic specification and valid base
 // document from the seed. Even seeds use the constraint-rich lib family
@@ -152,7 +164,7 @@ func shadowApply(doc string, op EditOp) (out string, applicable bool) {
 				return "", false
 			}
 		}
-		if strings.TrimSpace(op.Value) == "" {
+		if xmlscan.IsSpace(op.Value) {
 			n.Children = nil
 		} else {
 			n.Children = []*xmltree.Node{xmltree.NewText(op.Value)}

@@ -16,7 +16,6 @@
 package docsession
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -96,33 +95,28 @@ type Session struct {
 	runPool   map[string]*dtd.Run
 }
 
-// Open ingests one document from r through the streaming checker and
-// returns a live session over it. ck and v must come from the same
-// compiled specification. Invalid documents yield an
+// Open ingests one document from r in a single pass and returns a live
+// session over it: the streaming checker fills the constraint indexes
+// while a tree builder consumes the same events and saves each element's
+// content-model checkpoint at its end tag. ck and v must come from the
+// same compiled specification. Invalid documents yield an
 // *InvalidDocumentError carrying the full report; malformed ones the
 // checker's parse error.
 func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.Reader) (*Session, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("docsession: read document: %w", err)
-	}
-	rep, idxs, err := ck.RunRetain(ctx, bytes.NewReader(buf))
+	sink := &openSink{states: make(map[*xmltree.Node]*dtd.State)}
+	rep, idxs, err := ck.RunRetainInto(ctx, r, sink)
 	if err != nil {
 		return nil, err
 	}
 	if !rep.OK() {
 		return nil, &InvalidDocumentError{Report: rep}
 	}
-	tree, err := xmltree.Parse(bytes.NewReader(buf))
-	if err != nil {
-		return nil, err // unreachable: RunRetain accepted the bytes
-	}
 	s := &Session{
 		d:       v.DTD(),
 		v:       v,
-		tree:    tree,
+		tree:    sink.Tree(),
 		idx:     idxs,
-		state:   make(map[*xmltree.Node]*dtd.State),
+		state:   sink.states,
 		elems:   rep.Elements,
 		runPool: make(map[string]*dtd.Run),
 	}
@@ -131,8 +125,30 @@ func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.
 	s.touched = make([]int32, len(idxs.Entries))
 	s.entryMark = make([]uint64, len(idxs.Entries))
 	s.undo = make([]undoEntry, 16)
-	s.checkpointSubtree(tree.Root)
 	return s, nil
+}
+
+// openSink is the tree-building consumer of Open's pass: it builds the
+// document tree and, at each end tag, saves the element's content-model
+// end state — the checkpoint that makes append-at-end edits O(1).
+type openSink struct {
+	xmltree.Builder
+	states map[*xmltree.Node]*dtd.State
+	slab   []dtd.State
+}
+
+func (o *openSink) End(run *dtd.Run) {
+	n := o.Builder.End()
+	if run == nil {
+		return // undeclared element type: the document is invalid anyway
+	}
+	if len(o.slab) == 0 {
+		o.slab = make([]dtd.State, 256)
+	}
+	st := &o.slab[0]
+	o.slab = o.slab[1:]
+	run.SaveInto(st)
+	o.states[n] = st
 }
 
 // buildPlan derives the label dispatch table from the index entries.
@@ -167,9 +183,9 @@ func buildPlan(idxs *doccheck.Indexes) *plan {
 	return p
 }
 
-// checkpointSubtree walks the subtree computing each element's
+// checkpointSubtree walks an inserted subtree computing each element's
 // content-model end state (the automaton state after consuming all its
-// children), the checkpoint that makes append-at-end edits O(1).
+// children), as Open's pass does for the ingested document.
 func (s *Session) checkpointSubtree(n *xmltree.Node) {
 	if n.IsText() {
 		return

@@ -423,3 +423,42 @@ func TestSessionAllocFree(t *testing.T) {
 		t.Fatalf("SetText toggle allocates %v per run, want 0", n)
 	}
 }
+
+// TestSetTextNonXMLSpaceRestreams is the regression test for the split
+// whitespace rule: sessions treated only XML white space as no text, the
+// parsers anything strings.TrimSpace emptied, so a no-break space set on
+// a (#PCDATA) element was accepted and the session's own document then
+// failed restreaming with "sequence is incomplete". Both now use
+// xmlscan.IsSpace.
+func TestSetTextNonXMLSpaceRestreams(t *testing.T) {
+	s := openLib(t, libDTD, libSigma, libDoc)
+	for _, v := range []string{"\u00a0", "\u2003", "\u0085 "} {
+		if res := s.Apply(SetText("lib/grp[0]/item[0]", v)); res.Rejected != nil {
+			t.Fatalf("settext %q rejected: %+v", v, res.Rejected)
+		}
+		revalidate(t, s, libDTD, libSigma)
+	}
+	// The same text arrives through the parser as a text node.
+	m := openLib(t, libDTD, libSigma, "<lib><grp id=\"a\" tag=\"x\"><item>\u00a0</item></grp></lib>")
+	if !strings.Contains(m.Document(), "<item>\u00a0</item>") {
+		t.Fatalf("non-XML white space dropped:\n%s", m.Document())
+	}
+}
+
+// TestDeepDocumentSerializesLinearly is the regression test for
+// indentation quadratic in depth: a valid 56 KB document of 8000 nested
+// elements used to serialize to 128 MB.
+func TestDeepDocumentSerializesLinearly(t *testing.T) {
+	const depth = 8000
+	const d = `
+<!ELEMENT r (n)>
+<!ELEMENT n (n?)>
+`
+	doc := "<r>" + strings.Repeat("<n>", depth) + strings.Repeat("</n>", depth) + "</r>"
+	s := openLib(t, d, "", doc)
+	out := s.Document()
+	if len(out) > 20*len(doc) {
+		t.Fatalf("Document() of a %d-byte input is %d bytes", len(doc), len(out))
+	}
+	revalidate(t, s, d, "")
+}

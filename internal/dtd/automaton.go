@@ -79,6 +79,21 @@ func (r *Run) Reset() {
 	r.dead = false
 }
 
+// Reuse returns a Run of a positioned before the first symbol, rebinding r
+// in place when its buffers are large enough, so one Run can serve
+// elements of different types in turn. A nil or too small r gets a fresh
+// Run.
+func (a *Automaton) Reuse(r *Run) *Run {
+	if r == nil || cap(r.cur) < a.words {
+		return a.Start()
+	}
+	r.a = a
+	r.cur = r.cur[:a.words]
+	r.scratch = r.scratch[:a.words]
+	r.Reset()
+	return r
+}
+
 // Step consumes one symbol. It reports whether some word with the consumed
 // sequence as a prefix is still in the language; once it returns false the
 // Run is dead and stays dead until Reset.

@@ -225,3 +225,37 @@ func TestRunAgainstMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseAcrossAutomata passes one Run from automaton to automaton, as
+// the streaming checker does with each open element's Run, and checks it
+// against batch Match every time.
+func TestReuseAcrossAutomata(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	syms := []string{"a", "b"}
+	var run *Run
+	for trial := 0; trial < 300; trial++ {
+		re := randRegex(rng, 1+rng.Intn(4))
+		if trial%3 == 0 { // wide enough for bitsets of several words
+			items := make([]Regex, 40+rng.Intn(60))
+			for i := range items {
+				items[i] = randRegex(rng, 3)
+			}
+			re = Star{Inner: Alt{Items: items}}
+		}
+		a := Compile(re)
+		run = a.Reuse(run)
+		labels := make([]string, rng.Intn(5))
+		for i := range labels {
+			labels[i] = syms[rng.Intn(2)]
+		}
+		alive := true
+		for _, lab := range labels {
+			if alive = run.Step(lab); !alive {
+				break
+			}
+		}
+		if got, want := alive && run.Accepting(), a.Match(labels); got != want {
+			t.Fatalf("regex %v, input %v: reused run=%v match=%v", re, labels, got, want)
+		}
+	}
+}

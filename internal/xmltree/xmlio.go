@@ -1,18 +1,19 @@
 package xmltree
 
 import (
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"xic/internal/dtd"
+	"xic/internal/xmlscan"
 )
 
 // ParseError is a document syntax or structure error with its source
-// position: the 1-based line and the 0-based byte offset (from
-// xml.Decoder.InputOffset) of the offending construct. It unwraps to the
-// underlying decoder error when there is one.
+// position: the 1-based line and the 0-based byte offset at which
+// reading stopped — for a structure error, the offset just past the
+// offending token. It unwraps to the scanner's *xmlscan.Error when there
+// is one.
 type ParseError struct {
 	Line   int
 	Offset int64
@@ -24,234 +25,201 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xmltree: line %d: %s", e.Line, e.Msg)
 }
 
-// Unwrap returns the underlying decoder error, if any.
+// Unwrap returns the underlying scanner error, if any.
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// LineReader wraps an io.Reader and maps byte offsets to 1-based line
-// numbers, so positions obtained from xml.Decoder.InputOffset can be
-// reported as lines. LineAt must be called with non-decreasing offsets;
-// callers that query it at every token keep the pending-newline buffer
-// bounded by the decoder's read-ahead instead of the document size.
-type LineReader struct {
-	r       io.Reader
-	pos     int64   // bytes delivered downstream
-	line    int     // 1 + newlines wholly before the last LineAt offset
-	pending []int64 // newline offsets not yet consumed by LineAt, ascending
-	head    int     // first live index into pending
+// Reader reads the paper's document model from XML text: the scanner's
+// events, restricted to one root element, with blank text (XML white
+// space only, xmlscan.IsSpace) dropped and attribute names checked for
+// local-name collisions. The tree parser and the streaming checker both
+// read documents through it, so the two cannot drift apart on which
+// documents they reject or how they say so. The embedded scanner gives
+// the current event's name, attributes, text and position.
+type Reader struct {
+	*xmlscan.Scanner
+	depth    int
+	rootSeen bool
 }
 
-// NewLineReader returns a LineReader delivering r's bytes unchanged.
-func NewLineReader(r io.Reader) *LineReader {
-	return &LineReader{r: r, line: 1}
+// NewReader returns a Reader over r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{Scanner: xmlscan.New(r)}
 }
 
-// Read implements io.Reader, recording newline positions as bytes pass.
-func (lr *LineReader) Read(p []byte) (int, error) {
-	n, err := lr.r.Read(p)
-	for i := 0; i < n; i++ {
-		if p[i] == '\n' {
-			lr.pending = append(lr.pending, lr.pos+int64(i))
+// Next returns the next model event: xmlscan.StartElement,
+// xmlscan.EndElement, xmlscan.Text (never blank, always inside the root)
+// or xmlscan.EOF once the root element has closed and the input ended.
+// Syntax and structure errors are *ParseError values; errors reading the
+// underlying input are returned wrapped.
+func (r *Reader) Next() (xmlscan.Kind, error) {
+	for {
+		k, err := r.Scanner.Next()
+		if err != nil {
+			if se, ok := err.(*xmlscan.Error); ok {
+				return k, &ParseError{Line: se.Line, Offset: se.Offset, Msg: se.Msg, Err: se}
+			}
+			return k, fmt.Errorf("xmltree: read document: %w", err)
 		}
-	}
-	lr.pos += int64(n)
-	return n, err
-}
-
-// LineAt returns the 1-based line number containing byte offset off.
-// Offsets must be non-decreasing across calls.
-func (lr *LineReader) LineAt(off int64) int {
-	for lr.head < len(lr.pending) && lr.pending[lr.head] < off {
-		lr.line++
-		lr.head++
-	}
-	if lr.head == len(lr.pending) {
-		lr.pending = lr.pending[:0]
-		lr.head = 0
-	}
-	return lr.line
-}
-
-// AttrCollision reports two attributes of one start tag that would collide
-// under local-name keying — for example a:id and b:id, or a plain
-// duplicate — skipping namespace declarations. The paper's model has plain
-// single-valued attribute names, so such documents cannot be represented
-// faithfully and must be rejected rather than silently keeping one value.
-func AttrCollision(attrs []xml.Attr) (first, second xml.Attr, found bool) {
-	for i, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		for _, b := range attrs[i+1:] {
-			if b.Name.Space == "xmlns" || b.Name.Local == "xmlns" {
+		switch k {
+		case xmlscan.StartElement:
+			if msg := attrCollision(r.Name(), r.Attrs()); msg != "" {
+				return k, r.errorf("%s", msg)
+			}
+			if r.depth == 0 {
+				if r.rootSeen {
+					return k, r.errorf("multiple root elements (second is %q)", r.Name())
+				}
+				r.rootSeen = true
+			}
+			r.depth++
+		case xmlscan.EndElement:
+			r.depth--
+		case xmlscan.Text:
+			if xmlscan.IsSpace(r.Text()) {
 				continue
 			}
-			if a.Name.Local == b.Name.Local {
-				return a, b, true
+			if r.depth == 0 {
+				return k, r.errorf("character data outside the root element")
+			}
+		case xmlscan.EOF:
+			if !r.rootSeen {
+				return k, r.errorf("no root element")
+			}
+		}
+		return k, nil
+	}
+}
+
+// errorf returns a structure error positioned at the current event.
+func (r *Reader) errorf(format string, args ...any) *ParseError {
+	return &ParseError{Line: r.Line(), Offset: r.Offset(), Msg: fmt.Sprintf(format, args...)}
+}
+
+// attrCollision describes two attributes of the start tag that share a
+// local name — for example a:id and b:id, or a plain duplicate — or
+// returns "". The paper's model has plain single-valued attribute names,
+// so such documents cannot be represented faithfully and must be
+// rejected rather than silently keeping one value.
+func attrCollision(element []byte, attrs []xmlscan.Attr) string {
+	for i := 1; i < len(attrs); i++ {
+		for j := 0; j < i; j++ {
+			if string(attrs[i].Local) == string(attrs[j].Local) {
+				return fmt.Sprintf("element %q: attributes %s and %s collide on local name %q; values would silently overwrite",
+					element, attrs[j].Name, attrs[i].Name, attrs[i].Local)
 			}
 		}
 	}
-	return xml.Attr{}, xml.Attr{}, false
+	return ""
 }
 
-// attrName renders an attribute name with its namespace prefix when present.
-func attrName(a xml.Attr) string {
-	if a.Name.Space != "" {
-		return a.Name.Space + ":" + a.Name.Local
+// Builder assembles a Tree from model events, as delivered by a Reader
+// or by a checker consuming one.
+type Builder struct {
+	stack []*Node
+	root  *Node
+	names map[string]string
+	slab  []Node // nodes not handed out yet
+	grow  int    // size of the next slab
+}
+
+// intern returns name as a string shared by every equal name of the
+// document.
+func (b *Builder) intern(name []byte) string {
+	if s, ok := b.names[string(name)]; ok {
+		return s
 	}
-	return a.Name.Local
-}
-
-// AttrCollisionError returns a positioned ParseError when the start tag's
-// attributes collide under local-name keying, or nil. Both the tree parser
-// and the streaming checker report collisions through it, so the two paths
-// cannot drift apart on which documents they reject or how they say so.
-func AttrCollisionError(t xml.StartElement, line int, off int64) *ParseError {
-	a, b, found := AttrCollision(t.Attr)
-	if !found {
-		return nil
+	if b.names == nil {
+		b.names = make(map[string]string)
 	}
-	return &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf(
-		"element %q: attributes %s and %s collide on local name %q; values would silently overwrite",
-		t.Name.Local, attrName(a), attrName(b), b.Name.Local)}
+	s := string(name)
+	b.names[s] = s
+	return s
 }
 
-// Parse reads an XML document into a tree. Whitespace-only character data
-// between elements is discarded (it is markup formatting, not content);
+// node returns a fresh node, carved from a slab so that a document costs
+// one allocation per slab rather than one per node. Slabs double from 8
+// to 256 nodes, so a small fragment stays cheap.
+func (b *Builder) node() *Node {
+	if len(b.slab) == 0 {
+		b.grow = min(max(2*b.grow, 8), 256)
+		b.slab = make([]Node, b.grow)
+	}
+	n := &b.slab[0]
+	b.slab = b.slab[1:]
+	return n
+}
+
+// Start opens an element as the last child of the open element, or as
+// the root.
+func (b *Builder) Start(label string, attrs []xmlscan.Attr) {
+	n := b.node()
+	n.Label = label
+	if len(attrs) > 0 {
+		n.Attrs = make(map[string]string, len(attrs))
+		for _, a := range attrs {
+			n.Attrs[b.intern(a.Local)] = string(a.Value)
+		}
+	}
+	if len(b.stack) == 0 {
+		b.root = n
+	} else {
+		p := b.stack[len(b.stack)-1]
+		p.Children = append(p.Children, n)
+	}
+	b.stack = append(b.stack, n)
+}
+
+// Text adds character data to the open element, extending its last
+// child when that is text already: adjacent runs form one text node.
+func (b *Builder) Text(text []byte) {
+	p := b.stack[len(b.stack)-1]
+	if k := len(p.Children); k > 0 && p.Children[k-1].IsText() {
+		p.Children[k-1].Value += string(text)
+		return
+	}
+	n := b.node()
+	n.Label, n.Value = dtd.TextSymbol, string(text)
+	p.Children = append(p.Children, n)
+}
+
+// End closes the open element and returns it.
+func (b *Builder) End() *Node {
+	n := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	return n
+}
+
+// Tree returns the tree built so far.
+func (b *Builder) Tree() *Tree { return NewTree(b.root) }
+
+// Parse reads an XML document into a tree. Blank character data (XML
+// white space only) is discarded — it is markup formatting, not content;
 // other character data becomes text nodes, with adjacent runs coalesced.
 // Processing instructions, comments and directives are skipped, matching
 // the simplifications of the paper's model. Errors are *ParseError values
 // carrying the line and byte offset of the offending construct.
 func Parse(r io.Reader) (*Tree, error) {
-	lr := NewLineReader(r)
-	dec := xml.NewDecoder(lr)
-	var stack []*Node
-	var root *Node
-	line := 1
-	var off int64
+	rd := NewReader(r)
+	var b Builder
 	for {
-		tok, err := dec.Token()
-		off = dec.InputOffset()
-		if err == io.EOF {
-			break
-		}
+		k, err := rd.Next()
 		if err != nil {
-			var se *xml.SyntaxError
-			if errors.As(err, &se) {
-				return nil, &ParseError{Line: se.Line, Offset: off, Msg: se.Msg, Err: err}
-			}
-			return nil, fmt.Errorf("xmltree: %w", err)
+			return nil, err
 		}
-		line = lr.LineAt(off)
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if pe := AttrCollisionError(t, line, off); pe != nil {
-				return nil, pe
-			}
-			n := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				n.SetAttr(a.Name.Local, a.Value)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("multiple root elements (second is %q)", t.Name.Local)}
-				}
-				root = n
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("unbalanced end element %q", t.Name.Local)}
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			text := string(t)
-			if strings.TrimSpace(text) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				return nil, &ParseError{Line: line, Offset: off, Msg: "character data outside the root element"}
-			}
-			parent := stack[len(stack)-1]
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].IsText() {
-				parent.Children[k-1].Value += text
-				continue
-			}
-			parent.Children = append(parent.Children, NewText(text))
+		switch k {
+		case xmlscan.StartElement:
+			b.Start(b.intern(rd.Name()), rd.Attrs())
+		case xmlscan.EndElement:
+			b.End()
+		case xmlscan.Text:
+			b.Text(rd.Text())
+		case xmlscan.EOF:
+			return b.Tree(), nil
 		}
 	}
-	if root == nil {
-		return nil, &ParseError{Line: line, Offset: off, Msg: "no root element"}
-	}
-	if len(stack) != 0 {
-		return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("unterminated element %q", stack[len(stack)-1].Label)}
-	}
-	return NewTree(root), nil
 }
 
 // ParseString is Parse on a string.
 func ParseString(s string) (*Tree, error) {
 	return Parse(strings.NewReader(s))
-}
-
-// Serialize renders the tree as indented XML text. Attributes are emitted
-// in sorted name order so output is deterministic.
-func Serialize(t *Tree) string {
-	if t == nil || t.Root == nil {
-		return ""
-	}
-	var b strings.Builder
-	writeNode(&b, t.Root, 0)
-	return b.String()
-}
-
-func writeNode(b *strings.Builder, n *Node, depth int) {
-	indent := strings.Repeat("  ", depth)
-	if n.IsText() {
-		b.WriteString(indent)
-		xml.EscapeText(b, []byte(n.Value))
-		b.WriteString("\n")
-		return
-	}
-	b.WriteString(indent)
-	b.WriteString("<")
-	b.WriteString(n.Label)
-	names := make([]string, 0, len(n.Attrs))
-	for a := range n.Attrs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	for _, a := range names {
-		b.WriteString(" ")
-		b.WriteString(a)
-		b.WriteString(`="`)
-		xml.EscapeText(b, []byte(n.Attrs[a]))
-		b.WriteString(`"`)
-	}
-	if len(n.Children) == 0 {
-		b.WriteString("/>\n")
-		return
-	}
-	// A single text child is written inline for readability.
-	if len(n.Children) == 1 && n.Children[0].IsText() {
-		b.WriteString(">")
-		xml.EscapeText(b, []byte(n.Children[0].Value))
-		b.WriteString("</")
-		b.WriteString(n.Label)
-		b.WriteString(">\n")
-		return
-	}
-	b.WriteString(">\n")
-	for _, c := range n.Children {
-		writeNode(b, c, depth+1)
-	}
-	b.WriteString(indent)
-	b.WriteString("</")
-	b.WriteString(n.Label)
-	b.WriteString(">\n")
 }

@@ -1,7 +1,10 @@
 package xmltree
 
 import (
+	"bytes"
+	"encoding/xml"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -128,8 +131,8 @@ func TestSerializeDeterministicAttrOrder(t *testing.T) {
 
 // TestParseErrorPositions is the regression table for lost parse positions:
 // every structural document error must carry a real 1-based line and a
-// non-negative byte offset threaded from xml.Decoder.InputOffset. Before
-// the fix these paths returned bare fmt.Errorf values with no position.
+// non-negative byte offset from the reader's position. Before the fix
+// these paths returned bare fmt.Errorf values with no position.
 func TestParseErrorPositions(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -185,20 +188,28 @@ func TestParseAttrCollision(t *testing.T) {
 	}
 }
 
-func TestLineReader(t *testing.T) {
-	lr := NewLineReader(strings.NewReader("ab\ncd\n\nef"))
-	buf := make([]byte, 64)
-	for {
-		if _, err := lr.Read(buf); err != nil {
-			break
+// TestEscapeMatchesEncodingXML holds the serializer's escaper to
+// encoding/xml's EscapeText, byte for byte.
+func TestEscapeMatchesEncodingXML(t *testing.T) {
+	cases := []string{"", "plain", `<a href="x">&'</a>`, "tab\tnl\ncr\r", "\x00\x01\x1f", "caf\u00e9 \U0001F600",
+		"\xff\xfe", "\xc3", "\xed\xa0\x80", "\ufffd\ufffe\uffff", "\ud7ff\ue000", "]]>"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = "a<>&'\"\t\n\r\x00\x80\xc3\xa9\xef\xbf\xbe"[rng.Intn(16)]
 		}
+		cases = append(cases, string(b))
 	}
-	for _, q := range []struct {
-		off  int64
-		want int
-	}{{0, 1}, {2, 1}, {3, 2}, {5, 2}, {6, 3}, {7, 4}, {9, 4}, {100, 4}} {
-		if got := lr.LineAt(q.off); got != q.want {
-			t.Errorf("LineAt(%d) = %d, want %d", q.off, got, q.want)
+	for _, c := range cases {
+		var want bytes.Buffer
+		if err := xml.EscapeText(&want, []byte(c)); err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		escape(&got, c)
+		if got.String() != want.String() {
+			t.Fatalf("escape(%q) = %q, encoding/xml writes %q", c, got.String(), want.String())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"xic/internal/dtd"
 	"xic/internal/ilp"
 	"xic/internal/randgen"
+	"xic/internal/xmlscan"
 	"xic/internal/xmltree"
 )
 
@@ -141,6 +143,8 @@ func TestValidateStreamParseErrors(t *testing.T) {
 		{"multiple roots", "<lib/>\n<lib/>", 2},
 		{"attr collision", "<lib>\n<grp a:id=\"1\" b:id=\"2\"><item val=\"v\"/><item val=\"v\"/><item val=\"v\"/><item val=\"v\"/></grp></lib>", 2},
 		{"chardata outside root", "<lib/>\nstray", 2},
+		{"unsupported encoding", "\n<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n<lib/>", 2},
+		{"unsupported version", "<?xml version=\"1.1\"?>\n<lib/>", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,6 +166,58 @@ func TestValidateStreamParseErrors(t *testing.T) {
 				t.Errorf("Offset = %d, want >= 0", pe.Offset)
 			}
 		})
+	}
+}
+
+// groupReader generates a streamBenchDTD document of n groups on the fly,
+// holding one group at a time, and records the bytes it served and the
+// largest read it was asked for.
+type groupReader struct {
+	n, i    int
+	pending []byte
+	served  int64
+	maxRead int
+}
+
+func (g *groupReader) Read(p []byte) (int, error) {
+	g.maxRead = max(g.maxRead, len(p))
+	for len(g.pending) == 0 {
+		switch {
+		case g.i == 0:
+			g.pending = []byte("<lib>\n")
+		case g.i <= g.n:
+			g.pending = fmt.Appendf(g.pending[:0], "<grp id=\"g%d\"><item val=\"a\"/><item val=\"b\"/><item val=\"c\"/><item val=\"d\"/></grp>\n", g.i)
+		case g.i == g.n+1:
+			g.pending = []byte("</lib>\n")
+		default:
+			return 0, io.EOF
+		}
+		g.i++
+	}
+	n := copy(p, g.pending)
+	g.pending = g.pending[n:]
+	g.served += int64(n)
+	return n, nil
+}
+
+// TestValidateStreamBoundedBuffer streams a generated document of more
+// than 16 MB through ValidateStream and checks that the scanner's read
+// buffer never grew: no read asked for more than its initial size.
+func TestValidateStreamBoundedBuffer(t *testing.T) {
+	spec := compileStream(t, streamBenchDTD, streamBenchXIC)
+	g := &groupReader{n: 200000}
+	rep, err := spec.ValidateStream(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Elements != 1+5*g.n {
+		t.Fatalf("report: ok=%v elements=%d, want ok with %d", rep.OK(), rep.Elements, 1+5*g.n)
+	}
+	if g.served < 16<<20 {
+		t.Fatalf("document is %d bytes, want at least 16 MB", g.served)
+	}
+	if g.maxRead > xmlscan.DefaultSize {
+		t.Fatalf("a read asked for %d bytes: the %d-byte buffer grew", g.maxRead, xmlscan.DefaultSize)
 	}
 }
 

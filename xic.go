@@ -220,7 +220,8 @@ const (
 func SetAttr(path, attr, value string) EditOp { return docsession.SetAttr(path, attr, value) }
 
 // SetText returns the edit replacing the text content of the element at
-// path; a whitespace-only value removes the text node.
+// path; a value of XML white space only (space, tab, CR, LF) removes the
+// text node, as the document reader drops such text.
 func SetText(path, value string) EditOp { return docsession.SetText(path, value) }
 
 // InsertSubtree returns the edit inserting the XML fragment as a new
