@@ -7,7 +7,11 @@ import (
 	"testing"
 )
 
-func benchProblem(rng *rand.Rand, n, rows int) *Problem {
+// benchProblem draws rows constraints over n variables around a planted
+// integer point; each coefficient is drawn from [-3, 3] with probability
+// density, so density 1 gives dense rows and a few percent gives rows as
+// sparse as a cardinality encoding's.
+func benchProblem(rng *rand.Rand, n, rows int, density float64) *Problem {
 	point := make([]int64, n)
 	for i := range point {
 		point[i] = int64(rng.Intn(5))
@@ -17,6 +21,9 @@ func benchProblem(rng *rand.Rand, n, rows int) *Problem {
 		coeffs := make(map[int]int64)
 		var lhs int64
 		for i := 0; i < n; i++ {
+			if rng.Float64() >= density {
+				continue
+			}
 			c := int64(rng.Intn(7) - 3)
 			if c != 0 {
 				coeffs[i] = c
@@ -40,11 +47,23 @@ func benchProblem(rng *rand.Rand, n, rows int) *Problem {
 	return p
 }
 
+// BenchmarkSolve times whole solves. The dense sizes are small LPs with
+// every coefficient drawn; the sparse one has the size and density of the
+// LPs the decide path solves: 160 rows, about 400 tableau columns, 1%
+// nonzero.
 func BenchmarkSolve(b *testing.B) {
-	for _, size := range []struct{ n, rows int }{{10, 10}, {20, 20}, {30, 25}} {
+	for _, size := range []struct {
+		n, rows int
+		density float64
+	}{{10, 10, 1}, {20, 20, 1}, {30, 25, 1}, {200, 160, 0.015}} {
 		rng := rand.New(rand.NewSource(3))
-		p := benchProblem(rng, size.n, size.rows)
-		b.Run(fmt.Sprintf("%dv-%dr", size.n, size.rows), func(b *testing.B) {
+		p := benchProblem(rng, size.n, size.rows, size.density)
+		name := fmt.Sprintf("%dv-%dr", size.n, size.rows)
+		if size.density < 1 {
+			name += fmt.Sprintf("-%.1f%%", 100*size.density)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sol := p.Solve()
 				if sol.Status != Optimal {

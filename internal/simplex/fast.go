@@ -1,17 +1,25 @@
-// The int64 fast tableau: a second pivot kernel behind Problem.Solve that
-// runs the same two-phase Bland's-rule simplex as the big.Rat tableau, but
-// over machine-word rationals. Every operation is overflow-checked and the
-// numerator/denominator magnitudes are capped (maxFastMag); the moment any
-// value escapes the representable range — overflow, or a near-degenerate
-// pivot blowing entries up — the whole solve falls back to the exact
-// kernel. Arithmetic here is still exact (normalized int64 fractions, never
-// floats), so a completed fast solve returns bit-identical results to the
-// rational path: same pivot sequence, same statuses, same vertex.
+// The int64 fast tableau: the pivot kernel Problem.Solve runs first. It
+// executes the same two-phase Bland's-rule simplex as the dense big.Rat
+// tableau in simplex.go, but over machine-word rationals and sparse rows:
+// each constraint row keeps only its nonzeros, in column order, and a pivot
+// touches only the rows with a nonzero in the entering column. Cardinality
+// encodings are a few percent dense even after their last pivot, so the
+// work and the memory follow the nonzeros, not m×ncols.
+//
+// Every operation is overflow-checked and the numerator/denominator
+// magnitudes are capped (maxFastMag); the moment any value escapes the
+// representable range — overflow, or a near-degenerate pivot blowing
+// entries up — the whole solve falls back to the exact kernel, which is
+// also the reference the fast one is tested against. Arithmetic here is
+// still exact (normalized int64 fractions, never floats), so a completed
+// fast solve returns bit-identical results to the rational path: same pivot
+// sequence, same statuses, same vertex.
 package simplex
 
 import (
 	"math"
 	"math/big"
+	"slices"
 )
 
 // maxFastMag caps the absolute numerator and the denominator of every
@@ -73,6 +81,15 @@ func makeRat(n, d int64) (rat64, bool) {
 	return rat64{n, d}, true
 }
 
+// makeInt is makeRat(n, 1) without the gcd: the magnitude cap is the only
+// check an integer needs.
+func makeInt(n int64) (rat64, bool) {
+	if n > maxFastMag || n < -maxFastMag {
+		return rat64{}, false
+	}
+	return rat64{n, 1}, true
+}
+
 // mul64 is overflow-checked multiplication. Operands of MinInt64 are
 // rejected up front: MinInt64 * -1 wraps to itself and would pass the
 // division test below.
@@ -116,7 +133,17 @@ func sign1(v int64) int {
 	return 1
 }
 
+// addRat adds with every overflow and magnitude check. Integer operands,
+// the common case on cardinality encodings, skip the cross-multiplication
+// and the gcd.
 func addRat(a, b rat64) (rat64, bool) {
+	if a.d == 1 && b.d == 1 {
+		n, ok := add64(a.n, b.n)
+		if !ok {
+			return rat64{}, false
+		}
+		return makeInt(n)
+	}
 	n1, ok := mul64(a.n, b.d)
 	if !ok {
 		return rat64{}, false
@@ -139,8 +166,15 @@ func addRat(a, b rat64) (rat64, bool) {
 func subRat(a, b rat64) (rat64, bool) { return addRat(a, negRat(b)) }
 
 // mulRat cross-cancels before multiplying so products stay as small as the
-// normalized result allows.
+// normalized result allows. Integer operands skip the cancellation.
 func mulRat(a, b rat64) (rat64, bool) {
+	if a.d == 1 && b.d == 1 {
+		n, ok := mul64(a.n, b.n)
+		if !ok {
+			return rat64{}, false
+		}
+		return makeInt(n)
+	}
 	g1 := gcd64(abs64(a.n), b.d)
 	g2 := gcd64(abs64(b.n), a.d)
 	n, ok := mul64(a.n/g1, b.n/g2)
@@ -185,21 +219,37 @@ func ratFromBig(v *big.Rat) (rat64, bool) {
 
 func (r rat64) toBig() *big.Rat { return new(big.Rat).SetFrac64(r.n, r.d) }
 
-// fastTableau mirrors tableau field-for-field over rat64 entries. Its
-// pivoting methods follow the exact kernel's control flow precisely —
-// same entering/leaving choices under Bland's rule — so that a completed
-// fast solve and an exact solve of the same Problem are indistinguishable.
+// entry is one nonzero of a sparse vector: in a tableau row idx is the
+// column, in the gathered entering column it is the row.
+type entry struct {
+	idx int
+	val rat64
+}
+
+// fastTableau is the sparse counterpart of tableau. The constraint rows
+// hold their nonzeros in ascending column order and never store a zero;
+// the objective row stays dense because entering-column selection scans
+// it in full. Its pivoting methods follow the exact kernel's control flow
+// precisely — same entering/leaving choices under Bland's rule — so that a
+// completed fast solve and an exact solve of the same Problem are
+// indistinguishable.
 type fastTableau struct {
-	m, ncols   int
-	a          [][]rat64
-	rhs        []rat64
-	basis      []int
-	objRow     []rat64
-	objVal     rat64
-	artStart   int
-	structural int
-	interrupt  func() bool
-	pivots     int
+	m, ncols  int
+	rows      [][]entry
+	rhs       []rat64
+	basis     []int
+	objRow    []rat64
+	objVal    rat64
+	artStart  int
+	interrupt func() bool
+	pivots    int
+
+	// col is the entering column's nonzeros, gathered once per pivot and
+	// shared by the ratio test and the elimination; capacity m, never grows.
+	col []entry
+	// merge is the scratch row an elimination is written into before it
+	// is copied back; it grows with fill-in (growMerge).
+	merge []entry
 }
 
 // buildFastTableau converts the problem into a fast tableau, mirroring
@@ -207,94 +257,90 @@ type fastTableau struct {
 // objective entry does not fit the capped int64 rationals.
 func (p *Problem) buildFastTableau() (*fastTableau, bool) {
 	m := len(p.rows)
-	type normRow struct {
-		row sparseRow
-		rel Rel
-		rhs *big.Rat
-		neg bool
-	}
-	norm := make([]normRow, m)
+	nnz := 0
 	slackCount := 0
 	artCount := 0
+	neg := make([]bool, m)
+	rels := make([]Rel, m)
 	for i := range p.rows {
-		nr := normRow{row: p.rows[i], rel: p.rels[i], rhs: p.rhs[i]}
-		if nr.rhs.Sign() < 0 {
-			nr.neg = true
-			switch nr.rel {
+		rel := p.rels[i]
+		if p.rhs[i].Sign() < 0 {
+			neg[i] = true
+			switch rel {
 			case Le:
-				nr.rel = Ge
+				rel = Ge
 			case Ge:
-				nr.rel = Le
+				rel = Le
 			}
 		}
-		if nr.rel != Eq {
+		if rel != Eq {
 			slackCount++
 		}
-		if nr.rel != Le {
+		if rel != Le {
 			artCount++
 		}
-		norm[i] = nr
+		rels[i] = rel
+		nnz += len(p.rows[i])
 	}
 	ncols := p.nvars + slackCount + artCount
 	t := &fastTableau{
-		m:          m,
-		ncols:      ncols,
-		structural: p.nvars,
-		artStart:   p.nvars + slackCount,
-		objVal:     rat64{0, 1},
+		m:        m,
+		ncols:    ncols,
+		artStart: p.nvars + slackCount,
+		objVal:   rat64{0, 1},
+		rows:     make([][]entry, m),
+		rhs:      make([]rat64, m),
+		basis:    make([]int, m),
+		objRow:   make([]rat64, ncols),
+		col:      make([]entry, m),
 	}
-	t.a = make([][]rat64, m)
-	t.rhs = make([]rat64, m)
-	t.basis = make([]int, m)
-	for i := range t.a {
-		t.a[i] = make([]rat64, ncols)
-		for j := range t.a[i] {
-			t.a[i][j] = rat64{0, 1}
-		}
-	}
+	// One slab holds every row as built; a row that fills in past its
+	// share moves to its own buffer (growRow).
+	slab := make([]entry, 0, nnz+slackCount+artCount)
 	slack := p.nvars
 	art := t.artStart
-	for i, nr := range norm {
-		for _, e := range nr.row {
+	for i, rel := range rels {
+		start := len(slab)
+		for _, e := range p.rows[i] {
 			v, ok := ratFromBig(e.val)
 			if !ok {
 				return nil, false
 			}
-			if nr.neg {
+			if neg[i] {
 				v = negRat(v)
 			}
-			sum, ok := addRat(t.a[i][e.col], v) // Add: tolerate duplicate cols
-			if !ok {
-				return nil, false
-			}
-			t.a[i][e.col] = sum
+			slab = append(slab, entry{e.col, v})
 		}
-		r, ok := ratFromBig(nr.rhs)
+		// AddRow stores each column once and never a zero, so sorting is
+		// all a row needs.
+		slices.SortFunc(slab[start:], func(a, b entry) int { return a.idx - b.idx })
+		r, ok := ratFromBig(p.rhs[i])
 		if !ok {
 			return nil, false
 		}
-		if nr.neg {
+		if neg[i] {
 			r = negRat(r)
 		}
 		t.rhs[i] = r
-		switch nr.rel {
+		// Slack and artificial columns sit past every structural one, so
+		// appending them keeps the row in column order.
+		switch rel {
 		case Le:
-			t.a[i][slack] = rat64{1, 1}
+			slab = append(slab, entry{slack, rat64{1, 1}})
 			t.basis[i] = slack
 			slack++
 		case Ge:
-			t.a[i][slack] = rat64{-1, 1}
-			slack++
-			t.a[i][art] = rat64{1, 1}
+			slab = append(slab, entry{slack, rat64{-1, 1}}, entry{art, rat64{1, 1}})
 			t.basis[i] = art
+			slack++
 			art++
 		case Eq:
-			t.a[i][art] = rat64{1, 1}
+			slab = append(slab, entry{art, rat64{1, 1}})
 			t.basis[i] = art
 			art++
 		}
+		t.rows[i] = slab[start:len(slab):len(slab)]
 	}
-	t.objRow = make([]rat64, ncols)
 	for j := range t.objRow {
 		t.objRow[j] = rat64{0, 1}
 	}
@@ -314,12 +360,12 @@ func (t *fastTableau) setPhase1Objective() bool {
 	t.objVal = rat64{0, 1}
 	for i, b := range t.basis {
 		if b >= t.artStart {
-			for j := 0; j < t.ncols; j++ {
-				v, ok := subRat(t.objRow[j], t.a[i][j])
+			for _, e := range t.rows[i] {
+				v, ok := subRat(t.objRow[e.idx], e.val)
 				if !ok {
 					return false
 				}
-				t.objRow[j] = v
+				t.objRow[e.idx] = v
 			}
 			v, ok := addRat(t.objVal, t.rhs[i])
 			if !ok {
@@ -344,27 +390,23 @@ func (t *fastTableau) setObjective(obj map[int]*big.Rat) bool {
 		}
 		c[j] = fv
 	}
-	for j := 0; j < t.ncols; j++ {
-		t.objRow[j] = c[j]
-	}
+	copy(t.objRow, c)
 	t.objVal = rat64{0, 1}
 	for i, b := range t.basis {
 		if c[b].sign() == 0 {
 			continue
 		}
 		cb := c[b]
-		for j := 0; j < t.ncols; j++ {
-			if t.a[i][j].sign() != 0 {
-				prod, ok := mulRat(cb, t.a[i][j])
-				if !ok {
-					return false
-				}
-				v, ok := subRat(t.objRow[j], prod)
-				if !ok {
-					return false
-				}
-				t.objRow[j] = v
+		for _, e := range t.rows[i] {
+			prod, ok := mulRat(cb, e.val)
+			if !ok {
+				return false
 			}
+			v, ok := subRat(t.objRow[e.idx], prod)
+			if !ok {
+				return false
+			}
+			t.objRow[e.idx] = v
 		}
 		prod, ok := mulRat(cb, t.rhs[i])
 		if !ok {
@@ -377,6 +419,40 @@ func (t *fastTableau) setObjective(obj map[int]*big.Rat) bool {
 		t.objVal = v
 	}
 	return true
+}
+
+// find returns the position of column j in a row, or -1.
+//
+//xic:hotpath
+func find(row []entry, j int) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if row[h].idx < j {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(row) && row[lo].idx == j {
+		return lo
+	}
+	return -1
+}
+
+// gather collects column j's nonzeros into t.col, in row order.
+//
+//xic:hotpath
+func (t *fastTableau) gather(j int) {
+	col := t.col[:cap(t.col)]
+	n := 0
+	for i, row := range t.rows {
+		if k := find(row, j); k >= 0 {
+			col[n] = entry{i, row[k].val}
+			n++
+		}
+	}
+	t.col = col[:n]
 }
 
 // pivotToOptimality mirrors tableau.pivotToOptimality: same Bland's-rule
@@ -400,22 +476,23 @@ func (t *fastTableau) pivotToOptimality(colLimit int) (pivotOutcome, bool) {
 		if enter < 0 {
 			return pivotOptimal, true
 		}
+		t.gather(enter)
 		leave := -1
 		var best rat64
-		for i := 0; i < t.m; i++ {
-			if t.a[i][enter].sign() <= 0 {
+		for _, e := range t.col {
+			if e.val.sign() <= 0 {
 				continue
 			}
-			inv, ok := invRat(t.a[i][enter])
+			inv, ok := invRat(e.val)
 			if !ok {
 				return pivotOptimal, false
 			}
-			ratio, ok := mulRat(t.rhs[i], inv)
+			ratio, ok := mulRat(t.rhs[e.idx], inv)
 			if !ok {
 				return pivotOptimal, false
 			}
 			if leave < 0 {
-				leave = i
+				leave = e.idx
 				best = ratio
 				continue
 			}
@@ -423,8 +500,8 @@ func (t *fastTableau) pivotToOptimality(colLimit int) (pivotOutcome, bool) {
 			if !ok {
 				return pivotOptimal, false
 			}
-			if cmp < 0 || (cmp == 0 && t.basis[i] < t.basis[leave]) {
-				leave = i
+			if cmp < 0 || (cmp == 0 && t.basis[e.idx] < t.basis[leave]) {
+				leave = e.idx
 				best = ratio
 			}
 		}
@@ -438,47 +515,41 @@ func (t *fastTableau) pivotToOptimality(colLimit int) (pivotOutcome, bool) {
 }
 
 // pivot mirrors tableau.pivot; false means an entry escaped the fast range.
+// t.col must hold column enter, as gathered by gather.
 //
 //xic:hotpath
 func (t *fastTableau) pivot(leave, enter int) bool {
 	t.pivots++
-	inv, ok := invRat(t.a[leave][enter])
+	prow := t.rows[leave]
+	k := find(prow, enter)
+	if k < 0 {
+		return false
+	}
+	inv, ok := invRat(prow[k].val)
 	if !ok {
 		return false
 	}
-	for j := 0; j < t.ncols; j++ {
-		if t.a[leave][j].sign() != 0 {
-			v, ok := mulRat(t.a[leave][j], inv)
-			if !ok {
-				return false
-			}
-			t.a[leave][j] = v
+	for k := range prow {
+		v, ok := mulRat(prow[k].val, inv)
+		if !ok {
+			return false
 		}
+		prow[k].val = v
 	}
 	v, ok := mulRat(t.rhs[leave], inv)
 	if !ok {
 		return false
 	}
 	t.rhs[leave] = v
-	for i := 0; i < t.m; i++ {
-		if i == leave || t.a[i][enter].sign() == 0 {
+	for _, e := range t.col {
+		i := e.idx
+		if i == leave {
 			continue
 		}
-		factor := t.a[i][enter]
-		for j := 0; j < t.ncols; j++ {
-			if t.a[leave][j].sign() != 0 {
-				prod, ok := mulRat(factor, t.a[leave][j])
-				if !ok {
-					return false
-				}
-				nv, ok := subRat(t.a[i][j], prod)
-				if !ok {
-					return false
-				}
-				t.a[i][j] = nv
-			}
+		if !t.eliminate(i, e.val, prow) {
+			return false
 		}
-		prod, ok := mulRat(factor, t.rhs[leave])
+		prod, ok := mulRat(e.val, t.rhs[leave])
 		if !ok {
 			return false
 		}
@@ -490,18 +561,16 @@ func (t *fastTableau) pivot(leave, enter int) bool {
 	}
 	if t.objRow[enter].sign() != 0 {
 		factor := t.objRow[enter]
-		for j := 0; j < t.ncols; j++ {
-			if t.a[leave][j].sign() != 0 {
-				prod, ok := mulRat(factor, t.a[leave][j])
-				if !ok {
-					return false
-				}
-				nv, ok := subRat(t.objRow[j], prod)
-				if !ok {
-					return false
-				}
-				t.objRow[j] = nv
+		for _, e := range prow {
+			prod, ok := mulRat(factor, e.val)
+			if !ok {
+				return false
 			}
+			nv, ok := subRat(t.objRow[e.idx], prod)
+			if !ok {
+				return false
+			}
+			t.objRow[e.idx] = nv
 		}
 		prod, ok := mulRat(factor, t.rhs[leave])
 		if !ok {
@@ -517,7 +586,79 @@ func (t *fastTableau) pivot(leave, enter int) bool {
 	return true
 }
 
-// driveOutArtificials mirrors tableau.driveOutArtificials.
+// eliminate sets row i to row i − factor·prow by merging the two
+// column-ordered nonzero lists, dropping entries that cancel to exactly
+// zero (the entering column always does).
+//
+//xic:hotpath
+func (t *fastTableau) eliminate(i int, factor rat64, prow []entry) bool {
+	row := t.rows[i]
+	if need := len(row) + len(prow); need > cap(t.merge) {
+		t.growMerge(need) //xic:ignore hotalloc amortized growth: the scratch row warms to the widest elimination and is reused
+	}
+	out := t.merge
+	n, a, b := 0, 0, 0
+	for a < len(row) && b < len(prow) {
+		switch {
+		case row[a].idx < prow[b].idx:
+			out[n] = row[a]
+			n++
+			a++
+		case row[a].idx > prow[b].idx:
+			prod, ok := mulRat(factor, prow[b].val)
+			if !ok {
+				return false
+			}
+			out[n] = entry{prow[b].idx, negRat(prod)}
+			n++
+			b++
+		default:
+			prod, ok := mulRat(factor, prow[b].val)
+			if !ok {
+				return false
+			}
+			v, ok := subRat(row[a].val, prod)
+			if !ok {
+				return false
+			}
+			if v.n != 0 {
+				out[n] = entry{row[a].idx, v}
+				n++
+			}
+			a++
+			b++
+		}
+	}
+	n += copy(out[n:], row[a:])
+	for ; b < len(prow); b++ {
+		prod, ok := mulRat(factor, prow[b].val)
+		if !ok {
+			return false
+		}
+		out[n] = entry{prow[b].idx, negRat(prod)}
+		n++
+	}
+	if n > cap(row) {
+		row = t.growRow(i, n) //xic:ignore hotalloc amortized growth: a row's buffer grows only with its own fill-in
+	}
+	t.rows[i] = row[:n]
+	copy(t.rows[i], out[:n])
+	return true
+}
+
+func (t *fastTableau) growMerge(need int) {
+	t.merge = make([]entry, max(2*cap(t.merge), need))
+}
+
+// growRow gives row i a buffer for at least n entries; the caller
+// overwrites it whole, so nothing is copied.
+func (t *fastTableau) growRow(i, n int) []entry {
+	return make([]entry, 0, max(2*cap(t.rows[i]), n))
+}
+
+// driveOutArtificials mirrors tableau.driveOutArtificials. A row's first
+// nonzero is its smallest column, so a basic artificial can be pivoted out
+// exactly when that column is below artStart.
 //
 //xic:hotpath
 func (t *fastTableau) driveOutArtificials() bool {
@@ -525,12 +666,11 @@ func (t *fastTableau) driveOutArtificials() bool {
 		if t.basis[i] < t.artStart {
 			continue
 		}
-		for j := 0; j < t.artStart; j++ {
-			if t.a[i][j].sign() != 0 {
-				if !t.pivot(i, j) {
-					return false
-				}
-				break
+		if row := t.rows[i]; len(row) > 0 && row[0].idx < t.artStart {
+			j := row[0].idx
+			t.gather(j)
+			if !t.pivot(i, j) {
+				return false
 			}
 		}
 	}

@@ -1,41 +1,41 @@
 package simplex
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // TestPivotKernelIsAllocationFree pins the //xic:hotpath contract that
 // xicvet's hotalloc analyzer enforces statically: once a fast tableau is
-// built, the steady-state pivot kernel (phase-1 objective setup plus
-// pivoting to optimality) performs zero heap allocations. The tableau
-// state is restored with copies into the prebuilt buffers between runs so
-// the measured closure itself stays allocation-free.
+// built and its buffers have grown to the solve's fill-in, the steady-state
+// pivot kernel (phase-1 objective setup, pivoting to optimality and driving
+// out artificials) performs zero heap allocations. The tableau state is
+// restored with copies into the existing row buffers between runs so the
+// measured closure itself stays allocation-free.
 func TestPivotKernelIsAllocationFree(t *testing.T) {
-	// A ≥-constrained problem so phase 1 has artificials to drive down and
-	// must genuinely pivot.
-	p := New(2)
-	p.AddRowInt(map[int]int64{0: 1, 1: 2}, Ge, 4)
-	p.AddRowInt(map[int]int64{0: 3, 1: 1}, Ge, 6)
-	p.AddRowInt(map[int]int64{0: 1, 1: 1}, Le, 10)
-
+	p := encodingProblem(rand.New(rand.NewSource(5)), 40)
 	ft, ok := p.buildFastTableau()
 	if !ok {
 		t.Fatal("buildFastTableau failed on small integer data")
 	}
 
 	// Snapshot the mutable tableau state once, outside the measurement.
-	aSnap := make([][]rat64, ft.m)
-	for i := range ft.a {
-		aSnap[i] = append([]rat64(nil), ft.a[i]...)
+	rowsSnap := make([][]entry, ft.m)
+	for i, row := range ft.rows {
+		rowsSnap[i] = append([]entry(nil), row...)
 	}
 	rhsSnap := append([]rat64(nil), ft.rhs...)
 	basisSnap := append([]int(nil), ft.basis...)
 	objRowSnap := append([]rat64(nil), ft.objRow...)
 	objValSnap := ft.objVal
 
+	// Every row's buffer holds at least its built length, so restoring
+	// never reallocates.
 	restore := func() {
-		for i := range aSnap {
-			copy(ft.a[i], aSnap[i])
+		for i, snap := range rowsSnap {
+			ft.rows[i] = ft.rows[i][:len(snap)]
+			copy(ft.rows[i], snap)
 		}
 		copy(ft.rhs, rhsSnap)
 		copy(ft.basis, basisSnap)
@@ -45,7 +45,7 @@ func TestPivotKernelIsAllocationFree(t *testing.T) {
 	}
 
 	var outcome pivotOutcome
-	var kernelOK bool
+	kernelOK := true
 	var pivots int
 	allocs := testing.AllocsPerRun(100, func() {
 		restore()
@@ -54,6 +54,9 @@ func TestPivotKernelIsAllocationFree(t *testing.T) {
 			return
 		}
 		outcome, kernelOK = ft.pivotToOptimality(ft.ncols)
+		if kernelOK && outcome == pivotOptimal {
+			kernelOK = ft.driveOutArtificials()
+		}
 		pivots = ft.pivots
 	})
 
@@ -66,7 +69,53 @@ func TestPivotKernelIsAllocationFree(t *testing.T) {
 	if pivots == 0 {
 		t.Fatal("degenerate measurement: the kernel never pivoted")
 	}
+	filled := false
+	for i, row := range ft.rows {
+		if len(row) > len(rowsSnap[i]) {
+			filled = true
+		}
+	}
+	if !filled {
+		t.Fatal("degenerate measurement: no row filled in, so the grow path never ran")
+	}
 	if allocs != 0 {
 		t.Errorf("pivot kernel allocates %.1f times per run; the //xic:hotpath contract is 0", allocs)
+	}
+}
+
+// TestFastSolveMemoryFollowsNonzeros pins that the fast kernel's memory
+// follows the system's nonzeros: one solve of an encoding-shaped LP (about
+// 1% dense) allocates under a quarter of the 16·m·ncols bytes a dense
+// int64 tableau of the same shape would hold.
+func TestFastSolveMemoryFollowsNonzeros(t *testing.T) {
+	p := encodingProblem(rand.New(rand.NewSource(2)), 160)
+	ft, ok := p.buildFastTableau()
+	if !ok {
+		t.Fatal("buildFastTableau failed on small integer data")
+	}
+	m, ncols := ft.m, ft.ncols
+	if m < 150 || ncols < 300 {
+		t.Fatalf("problem is %d×%d, want at least 150×300", m, ncols)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var sol *Solution
+	for r := 0; r < runs; r++ {
+		var completed bool
+		sol, _, completed = p.solveFast()
+		if !completed {
+			t.Fatal("fast kernel fell back on small integer data")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if sol.Pivots < m/2 {
+		t.Fatalf("degenerate measurement: %d pivots on %d rows", sol.Pivots, m)
+	}
+	perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+	dense := uint64(16 * m * ncols)
+	t.Logf("%d×%d, %d pivots: %d B per solve; a dense tableau holds %d B", m, ncols, sol.Pivots, perSolve, dense)
+	if perSolve >= dense/4 {
+		t.Errorf("one fast solve allocates %d B, want under a quarter of the dense tableau's %d B", perSolve, dense)
 	}
 }

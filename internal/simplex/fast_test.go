@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -75,44 +76,162 @@ func randomProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestFastMatchesExact cross-validates the two kernels: on problems where
-// the fast tableau completes, it must report the identical status,
-// objective, vertex, and pivot count as the exact kernel — the fast path is
-// the same algorithm in a different number representation, not an
-// approximation.
+// encodingProblem draws an LP shaped like the cardinality encodings
+// Ψ(D,Σ) the solver serves: rows constraints over rows to 2·rows
+// variables, 1–5 nonzeros per row, mostly = and ≥ rows around a planted
+// nonnegative integer point. Each row's variables lie in a window around
+// its own position, as an element type's count is tied to its parent's and
+// children's, which keeps fill-in local as in a shallow DTD's encoding.
+// Coefficients are ±1 and ±2. About one problem in four also carries
+// occasional medium coefficients, which force fractional pivots, some of
+// them scaled by 2^24, which force fallbacks; about one in four moves one
+// right-hand side off the planted point, so infeasible systems appear too.
+func encodingProblem(rng *rand.Rand, rows int) *Problem {
+	const window = 12
+	nvars := rows + rng.Intn(rows+1)
+	point := make([]int64, nvars)
+	for j := range point {
+		point[j] = int64(rng.Intn(4))
+	}
+	wide := rng.Intn(4) == 0
+	perturb := -1
+	if rng.Intn(4) == 0 {
+		perturb = rng.Intn(rows)
+	}
+	p := New(nvars)
+	for r := 0; r < rows; r++ {
+		k := 1 + rng.Intn(5)
+		coeffs := make(map[int]int64, k)
+		var lhs int64
+		center := r * nvars / rows
+		for len(coeffs) < k {
+			j := min(max(center+rng.Intn(window)-window/2, 0), nvars-1)
+			if _, dup := coeffs[j]; dup {
+				continue
+			}
+			c := int64(1 + rng.Intn(2))
+			if rng.Intn(2) == 0 {
+				c = -c
+			}
+			if wide && rng.Intn(20) == 0 {
+				c *= int64(2 + rng.Intn(1000))
+				if rng.Intn(4) == 0 {
+					c *= 1 << 24
+				}
+			}
+			coeffs[j] = c
+			lhs += c * point[j]
+		}
+		if r == perturb {
+			lhs += int64(1 + rng.Intn(3))
+		}
+		switch d := rng.Intn(20); {
+		case d < 9:
+			p.AddRowInt(coeffs, Eq, lhs)
+		case d < 17:
+			p.AddRowInt(coeffs, Ge, lhs-int64(rng.Intn(3)))
+		default:
+			p.AddRowInt(coeffs, Le, lhs+int64(rng.Intn(3)))
+		}
+	}
+	switch rng.Intn(3) {
+	case 1: // nonnegative costs: bounded below
+		obj := make(map[int]*big.Rat)
+		for j := 0; j < nvars; j++ {
+			if rng.Intn(3) == 0 {
+				obj[j] = big.NewRat(int64(1+rng.Intn(3)), 1)
+			}
+		}
+		p.SetObjective(obj)
+	case 2: // mixed signs: unbounded outcomes too
+		obj := make(map[int]*big.Rat)
+		for j := 0; j < nvars; j++ {
+			if rng.Intn(3) == 0 {
+				obj[j] = big.NewRat(int64(rng.Intn(7)-3), 1)
+			}
+		}
+		p.SetObjective(obj)
+	}
+	return p
+}
+
+// checkFastMatchesExact solves p on both kernels and fails t unless they
+// agree. When the fast kernel completes it must report the identical
+// status, pivot count, objective and vertex as the exact kernel — the fast
+// path is the same algorithm in a different number representation, not an
+// approximation. When it falls back, Solve must return the exact kernel's
+// answer with the wasted fast pivots charged on top. It reports whether
+// the fast kernel completed.
+func checkFastMatchesExact(t *testing.T, name string, p *Problem) bool {
+	t.Helper()
+	want := p.solveExact()
+	got, fastPivots, ok := p.solveFast()
+	if !ok {
+		got = p.Solve()
+		if !got.ExactFallback || got.FastPivots != fastPivots || got.Pivots != want.Pivots+fastPivots {
+			t.Fatalf("%s: fallback solve reports ExactFallback=%v FastPivots=%d Pivots=%d, want true, %d, %d",
+				name, got.ExactFallback, got.FastPivots, got.Pivots, fastPivots, want.Pivots+fastPivots)
+		}
+	} else if fastPivots != want.Pivots {
+		t.Fatalf("%s: fast pivots %d, exact %d (kernels must pivot identically)",
+			name, fastPivots, want.Pivots)
+	}
+	if got.Status != want.Status {
+		t.Fatalf("%s: fast status %v, exact %v", name, got.Status, want.Status)
+	}
+	if got.Status != Optimal {
+		return ok
+	}
+	if got.Obj.Cmp(want.Obj) != 0 {
+		t.Fatalf("%s: fast obj %s, exact %s", name, got.Obj, want.Obj)
+	}
+	for j := range got.X {
+		if got.X[j].Cmp(want.X[j]) != 0 {
+			t.Fatalf("%s: x[%d] fast %s, exact %s", name, j, got.X[j], want.X[j])
+		}
+	}
+	return ok
+}
+
+// TestFastMatchesExact cross-validates the two kernels on two families:
+// tiny dense problems, and encoding-shaped sparse ones where a sparse
+// kernel and a dense one could actually differ.
 func TestFastMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	completed := 0
 	for trial := 0; trial < 500; trial++ {
-		p := randomProblem(rng)
-		fastSol, fastPivots, ok := p.solveFast()
-		if !ok {
-			continue
-		}
-		completed++
-		exactSol := p.solveExact()
-		if fastSol.Status != exactSol.Status {
-			t.Fatalf("trial %d: fast status %v, exact %v", trial, fastSol.Status, exactSol.Status)
-		}
-		if fastPivots != exactSol.Pivots {
-			t.Fatalf("trial %d: fast pivots %d, exact %d (kernels must pivot identically)",
-				trial, fastPivots, exactSol.Pivots)
-		}
-		if fastSol.Status != Optimal {
-			continue
-		}
-		if fastSol.Obj.Cmp(exactSol.Obj) != 0 {
-			t.Fatalf("trial %d: fast obj %s, exact %s", trial, fastSol.Obj, exactSol.Obj)
-		}
-		for j := range fastSol.X {
-			if fastSol.X[j].Cmp(exactSol.X[j]) != 0 {
-				t.Fatalf("trial %d: x[%d] fast %s, exact %s", trial, j, fastSol.X[j], exactSol.X[j])
-			}
+		if checkFastMatchesExact(t, fmt.Sprintf("dense trial %d", trial), randomProblem(rng)) {
+			completed++
 		}
 	}
 	if completed < 400 {
-		t.Fatalf("only %d/500 trials completed on the fast kernel; the corpus should be int64-friendly", completed)
+		t.Fatalf("only %d/500 dense trials completed on the fast kernel; the corpus should be int64-friendly", completed)
 	}
+
+	completed = 0
+	const sparseTrials = 40
+	for trial := 0; trial < sparseTrials; trial++ {
+		p := encodingProblem(rng, 10+rng.Intn(191))
+		if checkFastMatchesExact(t, fmt.Sprintf("sparse trial %d", trial), p) {
+			completed++
+		}
+	}
+	if completed < sparseTrials/2 {
+		t.Fatalf("only %d/%d sparse trials completed on the fast kernel", completed, sparseTrials)
+	}
+}
+
+// FuzzFastMatchesExact is the kernel-agreement fuzzer the CI smoke job
+// runs: encoding-shaped LPs of 10–200 rows must get the same answer from
+// the sparse int64 kernel and the dense exact one.
+func FuzzFastMatchesExact(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(7), uint8(60))
+	f.Add(int64(42), uint8(190))
+	f.Fuzz(func(t *testing.T, seed int64, rows uint8) {
+		p := encodingProblem(rand.New(rand.NewSource(seed)), 10+int(rows)%191)
+		checkFastMatchesExact(t, fmt.Sprintf("seed %d rows %d", seed, rows), p)
+	})
 }
 
 // TestFallbackOnBigData feeds coefficients outside int64 so the fast build
@@ -136,34 +255,35 @@ func TestFallbackOnBigData(t *testing.T) {
 	}
 }
 
-// TestFallbackOnMagnitudeCap exercises a mid-pivot fallback: in-range input
-// whose tableau entries blow past maxFastMag during elimination.
+// TestFallbackOnMagnitudeCap exercises a mid-pivot fallback: in-range
+// input whose tableau entries blow past maxFastMag only after the fast
+// kernel has pivoted. Phase 1 is empty (≤ rows start feasible), and each
+// phase-2 pivot multiplies coefficients near 2^24 into denominators
+// near 2^48.
 func TestFallbackOnMagnitudeCap(t *testing.T) {
-	near := maxFastMag - 1
+	const c = 1 << 24
 	p := New(2)
-	p.AddRowInt(map[int]int64{0: near, 1: 1}, Ge, near)
-	p.AddRowInt(map[int]int64{0: 1, 1: near}, Ge, near)
-	p.AddRowInt(map[int]int64{0: 1, 1: 1}, Le, 2)
-	p.SetObjective(map[int]*big.Rat{0: big.NewRat(1, 1), 1: big.NewRat(1, 1)})
+	p.AddRowInt(map[int]int64{0: c + 203, 1: c - 75}, Le, c+3643)
+	p.AddRowInt(map[int]int64{0: c + 500, 1: c - 772}, Le, c+3452)
+	p.AddRowInt(map[int]int64{0: c + 548, 1: c - 287}, Le, c+3891)
+	p.SetObjective(map[int]*big.Rat{0: big.NewRat(-2, 1), 1: big.NewRat(-2, 1)})
 	sol := p.Solve()
-	exact := &Problem{}
-	*exact = *p
-	exact.SetExact(true)
-	want := exact.Solve()
-	if sol.Status != want.Status {
-		t.Fatalf("status = %v, exact says %v", sol.Status, want.Status)
+	want := p.solveExact()
+	if !sol.ExactFallback {
+		t.Fatal("ExactFallback not reported; the input no longer reaches the magnitude cap")
 	}
-	if sol.ExactFallback {
-		// A fallback happened; the wasted fast pivots must be accounted for.
-		if sol.Pivots != want.Pivots+sol.FastPivots {
-			t.Errorf("Pivots = %d, want exact %d + fast %d", sol.Pivots, want.Pivots, sol.FastPivots)
-		}
+	if sol.FastPivots == 0 {
+		t.Fatal("FastPivots = 0: the fallback fired before any fast pivot, not mid-solve")
 	}
-	if sol.Status == Optimal && want.Status == Optimal {
-		for j := range sol.X {
-			if sol.X[j].Cmp(want.X[j]) != 0 {
-				t.Errorf("x[%d] = %s, exact says %s", j, sol.X[j], want.X[j])
-			}
+	if sol.Pivots != want.Pivots+sol.FastPivots {
+		t.Errorf("Pivots = %d, want exact %d + fast %d", sol.Pivots, want.Pivots, sol.FastPivots)
+	}
+	if sol.Status != Optimal || want.Status != Optimal {
+		t.Fatalf("status = %v, exact says %v; want optimal", sol.Status, want.Status)
+	}
+	for j := range sol.X {
+		if sol.X[j].Cmp(want.X[j]) != 0 {
+			t.Errorf("x[%d] = %s, exact says %s", j, sol.X[j], want.X[j])
 		}
 	}
 }

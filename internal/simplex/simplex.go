@@ -1,7 +1,8 @@
-// Package simplex is an exact rational linear-programming solver: a dense
-// two-phase primal simplex over math/big.Rat with Bland's anti-cycling
-// rule. It decides feasibility of {x ≥ 0 : A·x (≤,=,≥) b} and minimizes a
-// linear objective over that polyhedron. Exact arithmetic matters here:
+// Package simplex is an exact rational linear-programming solver: a
+// two-phase primal simplex with Bland's anti-cycling rule, run on a sparse
+// int64 tableau (fast.go) and, when that overflows, on a dense
+// math/big.Rat one. It decides feasibility of {x ≥ 0 : A·x (≤,=,≥) b}
+// and minimizes a linear objective over that polyhedron. Exact arithmetic matters here:
 // the solver is the oracle inside a decision procedure (the paper's
 // reduction of XML constraint consistency to linear integer programming),
 // where floating-point drift would produce wrong answers, not just
