@@ -139,8 +139,9 @@ func newServer(cfg config) *server {
 		}
 	}))
 	// The solver hit/shrink counters, summed over every cached Spec: how
-	// many ILP-oracle calls presolve answered outright, how many the
-	// no-branching fast path answered, how much the systems shrank before
+	// many ILP-oracle calls presolve answered outright, how many it handed
+	// to the search unreduced because its int64 arithmetic overflowed
+	// (presolve_bailed), how many the no-branching fast path answered, how much the systems shrank before
 	// any simplex pivot ran, and how the pivots split between the int64
 	// fast tableau and the exact big.Rat kernel. Evicted Specs take their
 	// counts with them, so these are counters over the live cache, not
@@ -153,6 +154,7 @@ func newServer(cfg config) *server {
 			st := e.Spec.SolveStats()
 			total.Solves += st.Solves
 			total.PresolveDecided += st.PresolveDecided
+			total.PresolveBailed += st.PresolveBailed
 			total.FastPath += st.FastPath
 			total.Nodes += st.Nodes
 			total.Pivots += st.Pivots
@@ -168,6 +170,7 @@ func newServer(cfg config) *server {
 		return map[string]any{
 			"solves":                total.Solves,
 			"presolve_decided":      total.PresolveDecided,
+			"presolve_bailed":       total.PresolveBailed,
 			"fastpath":              total.FastPath,
 			"nodes":                 total.Nodes,
 			"pivots":                total.Pivots,

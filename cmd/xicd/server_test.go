@@ -598,11 +598,12 @@ func TestMetaHealthAndVars(t *testing.T) {
 			Misses uint64 `json:"misses"`
 		} `json:"impl_cache"`
 		Solve struct {
-			Solves          uint64 `json:"solves"`
-			PresolveDecided uint64 `json:"presolve_decided"`
-			FastPath        uint64 `json:"fastpath"`
-			RowsIn          uint64 `json:"presolve_rows_in"`
-			VarsFixed       uint64 `json:"vars_fixed"`
+			Solves          uint64  `json:"solves"`
+			PresolveDecided uint64  `json:"presolve_decided"`
+			PresolveBailed  *uint64 `json:"presolve_bailed"`
+			FastPath        uint64  `json:"fastpath"`
+			RowsIn          uint64  `json:"presolve_rows_in"`
+			VarsFixed       uint64  `json:"vars_fixed"`
 		} `json:"solve"`
 		Requests map[string]int64 `json:"requests_total"`
 	}](t, w)
@@ -633,6 +634,10 @@ func TestMetaHealthAndVars(t *testing.T) {
 	}
 	if vars.Solve.PresolveDecided+vars.Solve.FastPath+vars.Solve.VarsFixed == 0 {
 		t.Errorf("presolve did nothing on the db encoding: %+v", vars.Solve)
+	}
+	// Its small multiplicities keep presolve's arithmetic inside int64.
+	if vars.Solve.PresolveBailed == nil || *vars.Solve.PresolveBailed != 0 {
+		t.Errorf("presolve_bailed missing or nonzero: %+v", vars.Solve)
 	}
 }
 

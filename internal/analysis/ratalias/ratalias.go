@@ -3,7 +3,7 @@
 // *big.Int are mutable pointers, so storing a caller-supplied rational
 // into a long-lived structure without an intervening new(big.Rat).Set(v)
 // lets a later in-place mutation corrupt state that was supposed to be
-// immutable (the compiled Spec template, presolve bounds, simplex rows).
+// immutable (the compiled Spec template, simplex rows).
 //
 // The analyzer runs over the solver packages (ilp, simplex, presolve) and
 // performs a per-function taint walk: parameters and receivers are taint

@@ -246,6 +246,7 @@ type Checker struct {
 type solveCounters struct {
 	solves          atomic.Uint64
 	presolveDecided atomic.Uint64
+	presolveBailed  atomic.Uint64
 	fastPath        atomic.Uint64
 	nodes           atomic.Uint64
 	pivots          atomic.Uint64
@@ -269,6 +270,9 @@ type SolveStats struct {
 	Solves uint64
 	// PresolveDecided counts solves answered by presolve with no LP at all.
 	PresolveDecided uint64
+	// PresolveBailed counts solves whose presolve arithmetic left int64:
+	// the search ran on the unreduced system.
+	PresolveBailed uint64
 	// FastPath counts solves answered by the root LP relaxation alone (no
 	// conditional constraints survived presolve, no branching happened).
 	FastPath uint64
@@ -304,6 +308,7 @@ func (c *Checker) SolveStats() SolveStats {
 	return SolveStats{
 		Solves:               c.stats.solves.Load(),
 		PresolveDecided:      c.stats.presolveDecided.Load(),
+		PresolveBailed:       c.stats.presolveBailed.Load(),
 		FastPath:             c.stats.fastPath.Load(),
 		Nodes:                c.stats.nodes.Load(),
 		Pivots:               c.stats.pivots.Load(),
@@ -338,6 +343,9 @@ func (c *Checker) recordSolve(res *ilp.Result) {
 	c.stats.exactFallbacks.Add(uint64(res.Stats.ExactFallbacks))
 	c.stats.steals.Add(uint64(res.Stats.Steals))
 	p := res.Stats.Presolve
+	if p.Bailed {
+		c.stats.presolveBailed.Add(1)
+	}
 	c.stats.cuts.Add(uint64(p.Cuts))
 	c.stats.presolveRows.Add(uint64(p.Rows))
 	c.stats.presolveRowsOut.Add(uint64(p.RowsOut))

@@ -6,6 +6,8 @@ import (
 
 	"xic/internal/constraint"
 	"xic/internal/dtd"
+	"xic/internal/ilp"
+	"xic/internal/presolve"
 	"xic/internal/xmltree"
 )
 
@@ -195,5 +197,17 @@ func TestPrimaryKeyRestrictionHelper(t *testing.T) {
 	res, err := Consistent(dtd.Teachers(), constraint.Sigma1(), &Options{SkipWitness: true})
 	if err != nil || res.Consistent {
 		t.Errorf("restricted Σ1 should stay inconsistent (err=%v)", err)
+	}
+}
+
+// TestSolveStatsCountsPresolveBails: a solve whose presolve overflowed
+// int64 and handed the search its input unreduced shows in SolveStats.
+func TestSolveStatsCountsPresolveBails(t *testing.T) {
+	c := &Checker{}
+	c.recordSolve(&ilp.Result{Stats: ilp.Stats{PresolveUsed: true, Presolve: presolve.Stats{Rows: 3, RowsOut: 3, Bailed: true}}})
+	c.recordSolve(&ilp.Result{Stats: ilp.Stats{PresolveUsed: true, Presolve: presolve.Stats{Rows: 3, RowsOut: 1}}})
+	st := c.SolveStats()
+	if st.Solves != 2 || st.PresolveBailed != 1 {
+		t.Errorf("SolveStats = %+v, want 2 solves and 1 presolve bail", st)
 	}
 }

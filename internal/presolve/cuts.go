@@ -20,7 +20,7 @@
 // coefficient (gcdTighten already owns that case).
 package presolve
 
-import "math/big"
+import "slices"
 
 // maxCuts caps cut generation per system. Cuts multiply rows, and every
 // row is LP-tableau weight downstream when presolve cannot decide; the
@@ -54,53 +54,63 @@ func (st *state) generateCuts() bool {
 	}
 	before := st.stats.Cuts
 	base := st.rows // snapshot: cuts are not themselves re-cut
-	neg := new(big.Int)
 	for _, r := range base {
-		if st.infeasible || st.stats.Cuts-before >= maxCuts {
+		if st.halted() || st.stats.Cuts-before >= maxCuts {
 			break
 		}
-		st.cutRow(r.coeffs, r.rhs, before)
-		if r.eq && !st.infeasible && st.stats.Cuts-before < maxCuts {
+		st.cutRow(r.terms, r.rhs, false, before)
+		if r.eq && !st.halted() && st.stats.Cuts-before < maxCuts {
 			// The reverse direction Σ −a_j·x_j ≥ −b of an equality row.
-			negCoeffs := make(map[int]*big.Int, len(r.coeffs))
-			for j, c := range r.coeffs {
-				negCoeffs[j] = new(big.Int).Neg(c)
-			}
-			st.cutRow(negCoeffs, neg.Neg(r.rhs), before)
-			neg = new(big.Int)
+			st.cutRow(r.terms, r.rhs, true, before)
 		}
 	}
-	return st.stats.Cuts > before || st.infeasible
+	return !st.overflow && (st.stats.Cuts > before || st.infeasible)
 }
 
-// cutRow generates the cuts of one ≥-direction row: one per distinct
-// useful modulus among the coefficient magnitudes.
-func (st *state) cutRow(coeffs map[int]*big.Int, rhs *big.Int, before int) {
-	if len(coeffs) > maxCutRowWidth {
+// cutRow generates the cuts of one ≥-direction row (the row negated when
+// neg is set): one per distinct useful modulus among the coefficient
+// magnitudes, in ascending variable order.
+func (st *state) cutRow(terms []term, rhs int64, neg bool, before int) {
+	if len(terms) > maxCutRowWidth {
 		return
 	}
-	var seen []*big.Int
-	for _, a := range coeffs {
+	if neg {
+		rhs = st.neg(rhs)
+	}
+	var seen [maxCutRowWidth]int64
+	nseen := 0
+	for _, t := range terms {
 		if st.stats.Cuts-before >= maxCuts {
 			return
 		}
-		lambda := new(big.Int).Abs(a)
-		if lambda.Cmp(oneInt) <= 0 || containsInt(seen, lambda) {
+		lambda := st.abs(t.a)
+		if st.overflow {
+			return
+		}
+		if lambda <= 1 || slices.Contains(seen[:nseen], lambda) {
 			continue
 		}
-		seen = append(seen, lambda)
-		if !usefulModulus(coeffs, rhs, lambda) {
+		seen[nseen] = lambda
+		nseen++
+		if !usefulModulus(terms, rhs, lambda) {
 			continue
 		}
-		cut := &row{coeffs: make(map[int]*big.Int, len(coeffs)), rhs: divCeil(rhs, lambda)}
-		for j, c := range coeffs {
-			if v := divCeil(c, lambda); v.Sign() != 0 {
-				cut.coeffs[j] = v
+		cut := row{terms: make([]term, 0, len(terms)), rhs: st.divCeil(rhs, lambda)}
+		for _, u := range terms {
+			c := u.a
+			if neg {
+				c = st.neg(c)
+			}
+			if v := st.divCeil(c, lambda); v != 0 {
+				cut.terms = append(cut.terms, term{u.j, v})
 			}
 		}
-		if len(cut.coeffs) == 0 {
+		if st.overflow {
+			return
+		}
+		if len(cut.terms) == 0 {
 			// Every rounded coefficient vanished: the cut reads 0 ≥ rhs'.
-			if cut.rhs.Sign() > 0 {
+			if cut.rhs > 0 {
 				st.infeasible = true
 				return
 			}
@@ -116,23 +126,14 @@ func (st *state) cutRow(coeffs map[int]*big.Int, rhs *big.Int, before int) {
 // λ must not divide the right-hand side (otherwise ⌈b/λ⌉ = b/λ and the
 // cut is dominated by the original row) and must not divide every
 // coefficient (that case is exact division, already handled by
-// gcdTighten).
-func usefulModulus(coeffs map[int]*big.Int, rhs, lambda *big.Int) bool {
-	m := new(big.Int)
-	if m.Mod(rhs, lambda).Sign() == 0 {
+// gcdTighten). Divisibility ignores sign, so the test serves a row and
+// its negation alike.
+func usefulModulus(terms []term, rhs, lambda int64) bool {
+	if rhs%lambda == 0 {
 		return false
 	}
-	for _, c := range coeffs {
-		if m.Mod(c, lambda).Sign() != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(xs []*big.Int, v *big.Int) bool {
-	for _, x := range xs {
-		if x.Cmp(v) == 0 {
+	for _, t := range terms {
+		if t.a%lambda != 0 {
 			return true
 		}
 	}

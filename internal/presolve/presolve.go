@@ -34,13 +34,21 @@
 // reduced system extends to a solution of the input via the fixed values.
 // When nothing but consistent bounds remains, presolve decides feasibility
 // with no LP solve at all (the least point x = lo is a witness).
+//
+// All arithmetic is on int64 and checked: rows are sorted (variable,
+// coefficient) terms, and every sum, difference, product, negation and
+// quotient reports overflow. The encodings' numbers are content-model
+// multiplicities and ±1, so overflow takes a pathological input; when it
+// happens presolve stops and hands the input to the solver unreduced
+// (Stats.Bailed), which decides it exactly.
 package presolve
 
 import (
-	"fmt"
+	"cmp"
+	"encoding/binary"
+	"math"
 	"math/big"
-	"sort"
-	"strings"
+	"slices"
 
 	"xic/internal/linear"
 )
@@ -68,7 +76,7 @@ type Stats struct {
 	Tightened       int  // inequality constants moved by GCD rounding
 	Cuts            int  // Chvátal–Gomory cutting planes added at the root
 	Rounds          int  // propagation sweeps until fixpoint (or cap)
-	Bailed          bool // propagation diverged or a reduced value overflowed int64; input returned unreduced
+	Bailed          bool // a value left int64, or the least point failed the input with a variable free; input returned unreduced
 }
 
 // Result is the outcome of a presolve pass. Exactly one of two shapes:
@@ -88,81 +96,82 @@ type Result struct {
 	Stats Stats
 }
 
-// row is a canonicalized constraint: Σ coeffs·x = rhs (eq) or ≥ rhs.
-// ≤-rows enter negated. Coefficients are never zero and never reference a
-// fixed variable.
+// term is one coefficient of a row: a·x_j.
+type term struct {
+	j int
+	a int64
+}
+
+// row is a canonicalized constraint: Σ a·x = rhs (eq) or ≥ rhs, its terms
+// in ascending variable order. ≤-rows enter negated. Coefficients are
+// never zero and never reference a fixed variable.
 type row struct {
-	coeffs map[int]*big.Int
-	eq     bool
-	rhs    *big.Int
+	terms []term
+	eq    bool
+	rhs   int64
 }
 
 type state struct {
 	sys   *linear.System
 	n     int
-	rows  []*row
+	rows  []row
 	imps  []linear.Implication
-	lo    []*big.Int // lower bounds; start at 0 (all variables nonnegative)
-	hi    []*big.Int // upper bounds; nil = +∞
+	lo    []int64 // lower bounds; start at 0 (all variables nonnegative)
+	hi    []int64 // upper bounds where hasHi is set
+	hasHi []bool  // false: no upper bound
 	fixed []bool
 
+	// The antecedents x of the input implications x>0 → y>0, grouped by
+	// consequent: revIf[revStart[y]:revStart[y+1]], in input order.
+	revStart []int
+	revIf    []int
+	stack    []int // resolveImplications' worklist, capacity n
+
 	infeasible bool
-	changed    bool
-	stats      Stats
-
-	// scr holds scratch big.Ints reused across propagateGe calls: bound
-	// propagation is the fixpoint's hot inner loop (//xic:hotpath) and
-	// must not allocate per term. Each field is consumed before the next
-	// write, so one set per state suffices.
-	scr scratch
-}
-
-// scratch is the preallocated working set of the bound-propagation pass.
-type scratch struct {
-	v, b, finite, other, res, aj, q, rem *big.Int
-}
-
-func newScratch() scratch {
-	return scratch{
-		v:      new(big.Int),
-		b:      new(big.Int),
-		finite: new(big.Int),
-		other:  new(big.Int),
-		res:    new(big.Int),
-		aj:     new(big.Int),
-		q:      new(big.Int),
-		rem:    new(big.Int),
-	}
+	// overflow is sticky: once an operation leaves int64, the values
+	// computed since are meaningless and Run returns bail(), whatever
+	// else the state says.
+	overflow bool
+	changed  bool
+	stats    Stats
 }
 
 // Run presolves the system. The input is never mutated.
 func Run(sys *linear.System) *Result {
 	n := sys.VarCount()
+	cons := sys.Constraints()
 	st := &state{
 		sys:   sys,
 		n:     n,
-		lo:    make([]*big.Int, n),
-		hi:    make([]*big.Int, n),
+		rows:  make([]row, 0, len(cons)),
+		lo:    make([]int64, n),
+		hi:    make([]int64, n),
+		hasHi: make([]bool, n),
 		fixed: make([]bool, n),
-		scr:   newScratch(),
 	}
-	for i := range st.lo {
-		st.lo[i] = new(big.Int)
+	width := 0
+	for _, con := range cons {
+		width += len(con.Expr)
 	}
-	for _, con := range sys.Constraints() {
-		st.addConstraint(con)
+	slab := make([]term, 0, width)
+	for _, con := range cons {
+		slab = st.addConstraint(con, slab)
 	}
 	st.imps = append([]linear.Implication(nil), sys.Implications()...)
-	st.stats.Rows = len(sys.Constraints())
+	st.indexImplications()
+	st.stats.Rows = len(cons)
 	st.stats.Vars = n
 	st.stats.Implications = len(st.imps)
+	if st.overflow {
+		return st.bail()
+	}
 
 	st.runFixpoint()
 	// Root-node cutting planes: after a clean fixpoint (and only then — a
 	// capped, still-changing state signals a divergence spiral that new
 	// rows could feed), inject Chvátal–Gomory cuts and run the fixpoint
 	// again so bound propagation exploits them. See cuts.go.
-	if !st.infeasible && !st.changed && st.generateCuts() {
+	if !st.halted() && !st.changed && st.generateCuts() {
 		st.runFixpoint()
 	}
 	// Past the cap, stop the (possibly divergent) bound propagation and
@@ -171,26 +180,32 @@ func Run(sys *linear.System) *Result {
 	// so this loop always reaches a fixpoint. The emit invariants (fixed
 	// variables substituted out of every row, no implication touching a
 	// decided endpoint) need a fixpoint of exactly these rules.
-	for !st.infeasible && st.changed {
+	for !st.halted() && st.changed {
 		st.stats.Rounds++
 		st.changed = false
 		st.normalizeRows()
-		if !st.infeasible {
+		if !st.halted() {
 			st.resolveImplications()
 		}
-		if !st.infeasible {
+		if !st.halted() {
 			st.fixVariables()
 		}
 	}
-	if st.infeasible {
-		return st.refuted()
+	if !st.halted() {
+		st.dedupRows()
 	}
-	st.dedupRows()
-	if st.infeasible {
+	switch {
+	case st.overflow:
+		return st.bail()
+	case st.infeasible:
 		return st.refuted()
 	}
 	return st.emit()
 }
+
+// halted reports that the system was refuted or an operation overflowed:
+// every pass stops at the first sign of either.
+func (st *state) halted() bool { return st.infeasible || st.overflow }
 
 // runFixpoint sweeps the full rule set — normalization, bound
 // propagation, implication resolution, variable fixing — until nothing
@@ -201,42 +216,70 @@ func (st *state) runFixpoint() {
 		st.stats.Rounds++
 		st.changed = false
 		st.normalizeRows()
-		if !st.infeasible {
+		if !st.halted() {
 			st.propagateBounds()
 		}
-		if !st.infeasible {
+		if !st.halted() {
 			st.resolveImplications()
 		}
-		if !st.infeasible {
+		if !st.halted() {
 			st.fixVariables()
 		}
-		if st.infeasible || !st.changed {
+		if st.halted() || !st.changed {
 			break
 		}
 	}
 }
 
-// addConstraint canonicalizes one input constraint into ≥/= form over
-// big.Int, dropping explicit zero coefficients.
-func (st *state) addConstraint(con linear.Constraint) {
-	r := &row{coeffs: make(map[int]*big.Int, len(con.Expr)), rhs: big.NewInt(con.Const)}
+// addConstraint canonicalizes one input constraint into ≥/= form, its
+// terms carved from slab in ascending variable order, dropping explicit
+// zero coefficients. It returns the rest of the slab.
+func (st *state) addConstraint(con linear.Constraint, slab []term) []term {
+	start := len(slab)
 	for j, c := range con.Expr {
-		if c == 0 {
-			continue
+		if c != 0 {
+			slab = append(slab, term{j, c})
 		}
-		r.coeffs[j] = big.NewInt(c)
 	}
+	r := row{terms: slab[start:len(slab):len(slab)], rhs: con.Const}
+	slices.SortFunc(r.terms, func(x, y term) int { return cmp.Compare(x.j, y.j) })
 	switch con.Op {
 	case linear.Eq:
 		r.eq = true
 	case linear.Ge:
 	case linear.Le: // Σ a·x ≤ b  ⇔  Σ −a·x ≥ −b
-		for _, c := range r.coeffs {
-			c.Neg(c)
+		for i := range r.terms {
+			r.terms[i].a = st.neg(r.terms[i].a)
 		}
-		r.rhs.Neg(r.rhs)
+		r.rhs = st.neg(r.rhs)
 	}
 	st.rows = append(st.rows, r)
+	return slab
+}
+
+// indexImplications groups the antecedents of the input implications by
+// consequent, for the backward zero propagation. Implications only ever
+// leave st.imps, and one that left can no longer propagate a zero (its
+// antecedent is zero or its consequent positive), so the index of the
+// input serves every round.
+func (st *state) indexImplications() {
+	if len(st.imps) == 0 {
+		return
+	}
+	start := make([]int, st.n+2)
+	for _, im := range st.imps {
+		start[im.Then+2]++
+	}
+	for y := 2; y < len(start); y++ {
+		start[y] += start[y-1]
+	}
+	st.revIf = make([]int, len(st.imps))
+	for _, im := range st.imps {
+		st.revIf[start[im.Then+1]] = im.If
+		start[im.Then+1]++
+	}
+	st.revStart = start[:st.n+1]
+	st.stack = make([]int, 0, st.n)
 }
 
 // normalizeRows substitutes fixed variables, checks and drops emptied
@@ -244,17 +287,22 @@ func (st *state) addConstraint(con linear.Constraint) {
 func (st *state) normalizeRows() {
 	kept := st.rows[:0]
 	for _, r := range st.rows {
-		for j, c := range r.coeffs {
-			if !st.fixed[j] {
+		live := r.terms[:0]
+		for _, t := range r.terms {
+			if !st.fixed[t.j] {
+				live = append(live, t)
 				continue
 			}
-			r.rhs.Sub(r.rhs, new(big.Int).Mul(c, st.lo[j]))
-			delete(r.coeffs, j)
+			r.rhs = st.sub(r.rhs, st.mul(t.a, st.lo[t.j]))
 			st.changed = true
 		}
-		switch len(r.coeffs) {
+		r.terms = live
+		if st.overflow {
+			return
+		}
+		switch len(r.terms) {
 		case 0:
-			if (r.eq && r.rhs.Sign() != 0) || (!r.eq && r.rhs.Sign() > 0) {
+			if (r.eq && r.rhs != 0) || (!r.eq && r.rhs > 0) {
 				st.infeasible = true
 				return
 			}
@@ -262,14 +310,14 @@ func (st *state) normalizeRows() {
 			continue // trivially satisfied
 		case 1:
 			st.absorbSingleton(r)
-			if st.infeasible {
+			if st.halted() {
 				return
 			}
 			st.changed = true
 			continue
 		}
-		st.gcdTighten(r)
-		if st.infeasible {
+		st.gcdTighten(&r)
+		if st.halted() {
 			return
 		}
 		kept = append(kept, r)
@@ -279,26 +327,22 @@ func (st *state) normalizeRows() {
 
 // absorbSingleton turns the one-variable row a·x (=,≥) b into a bound on x
 // (an equality fixes the value or refutes the system).
-func (st *state) absorbSingleton(r *row) {
-	var j int
-	var a *big.Int
-	for k, c := range r.coeffs {
-		j, a = k, c
-	}
+func (st *state) absorbSingleton(r row) {
+	j, a := r.terms[0].j, r.terms[0].a
 	if r.eq {
-		q, rem := new(big.Int).QuoRem(r.rhs, a, new(big.Int))
-		if rem.Sign() != 0 {
+		if r.rhs%a != 0 {
 			st.infeasible = true // a·x = b with a ∤ b has no integer solution
 			return
 		}
+		q := st.quo(r.rhs, a)
 		st.raiseLo(j, q)
 		st.lowerHi(j, q)
 		return
 	}
-	if a.Sign() > 0 {
-		st.raiseLo(j, divCeil(r.rhs, a))
+	if a > 0 {
+		st.raiseLo(j, st.divCeil(r.rhs, a))
 	} else {
-		st.lowerHi(j, divFloor(r.rhs, a))
+		st.lowerHi(j, st.divFloor(r.rhs, a))
 	}
 }
 
@@ -306,30 +350,24 @@ func (st *state) absorbSingleton(r *row) {
 // refuting non-divisible equalities and rounding inequality constants to
 // the integer hull.
 func (st *state) gcdTighten(r *row) {
-	g := new(big.Int)
-	for _, c := range r.coeffs {
-		g.GCD(nil, nil, g, new(big.Int).Abs(c))
+	var g int64
+	for _, t := range r.terms {
+		g = gcd(g, st.abs(t.a))
 	}
-	if g.CmpAbs(oneInt) <= 0 {
+	if st.overflow || g <= 1 {
 		return
 	}
-	for _, c := range r.coeffs {
-		c.Quo(c, g)
+	for i := range r.terms {
+		r.terms[i].a /= g
 	}
-	if r.eq {
-		q, rem := new(big.Int).QuoRem(r.rhs, g, new(big.Int))
-		if rem.Sign() != 0 {
+	if r.rhs%g != 0 {
+		if r.eq {
 			st.infeasible = true // Diophantine: g ∤ b
 			return
 		}
-		r.rhs = q
-	} else {
-		tightened := divCeil(r.rhs, g)
-		if new(big.Int).Mul(tightened, g).Cmp(r.rhs) != 0 {
-			st.stats.Tightened++
-		}
-		r.rhs = tightened
+		st.stats.Tightened++
 	}
+	r.rhs = st.divCeil(r.rhs, g)
 	st.changed = true
 }
 
@@ -339,13 +377,13 @@ func (st *state) gcdTighten(r *row) {
 //xic:hotpath
 func (st *state) propagateBounds() {
 	for _, r := range st.rows {
-		st.propagateGe(r.coeffs, r.rhs, false)
-		if st.infeasible {
+		st.propagateGe(r.terms, r.rhs, false)
+		if st.halted() {
 			return
 		}
 		if r.eq {
-			st.propagateGe(r.coeffs, r.rhs, true)
-			if st.infeasible {
+			st.propagateGe(r.terms, r.rhs, true)
+			if st.halted() {
 				return
 			}
 		}
@@ -354,107 +392,108 @@ func (st *state) propagateBounds() {
 
 // propagateGe treats the row as Σ a·x ≥ b (negated when neg is set) and,
 // for each variable, bounds it by the best the remaining terms can
-// contribute: a_j·x_j ≥ b − maxOther. All intermediate values live in
-// st.scr, so a propagation round performs no heap allocation beyond the
-// bound copies raiseLo/lowerHi make on actual improvements.
+// contribute: a_j·x_j ≥ b − maxOther.
 //
 //xic:hotpath
-func (st *state) propagateGe(coeffs map[int]*big.Int, rhs *big.Int, neg bool) {
-	sign := 1
-	if neg {
-		sign = -1
-	}
+func (st *state) propagateGe(terms []term, rhs int64, neg bool) {
 	b := rhs
 	if neg {
-		b = st.scr.b.Neg(rhs)
+		b = st.neg(rhs)
 	}
-	finite := st.scr.finite.SetInt64(0)
+	var finite int64
 	infCount, infVar := 0, -1
-	for j, a := range coeffs {
-		if st.termMax(st.scr.v, j, a, sign, neg) {
+	for _, t := range terms {
+		v, inf := st.termMax(t, neg)
+		if inf {
 			infCount++
-			infVar = j
+			infVar = t.j
 			continue
 		}
-		finite.Add(finite, st.scr.v)
+		finite = st.add(finite, v)
 	}
-	if infCount == 0 && finite.Cmp(b) < 0 {
+	if st.overflow || infCount > 1 {
+		return // more than one unbounded term: no deduction on any variable
+	}
+	if infCount == 0 && finite < b {
 		st.infeasible = true // even the best activity misses the constant
 		return
 	}
-	for j, a := range coeffs {
-		var maxOther *big.Int
-		switch {
-		case infCount == 0:
-			st.termMax(st.scr.v, j, a, sign, neg)
-			maxOther = st.scr.other.Sub(finite, st.scr.v)
-		case infCount == 1 && j == infVar:
-			maxOther = finite
-		default:
+	for _, t := range terms {
+		maxOther := finite
+		if infCount == 0 {
+			v, _ := st.termMax(t, neg)
+			maxOther = st.sub(finite, v)
+		} else if t.j != infVar {
 			continue // another variable is unbounded; no deduction on j
 		}
-		residual := st.scr.res.Sub(b, maxOther) // a_j·x_j ≥ residual
-		aj := a
+		residual := st.sub(b, maxOther) // a_j·x_j ≥ residual
+		aj := t.a
 		if neg {
-			aj = st.scr.aj.Neg(a)
+			aj = st.neg(aj)
 		}
-		if aj.Sign() > 0 {
-			st.raiseLo(j, divCeilInto(st.scr.q, st.scr.rem, residual, aj))
+		if st.overflow {
+			return
+		}
+		if aj > 0 {
+			st.raiseLo(t.j, st.divCeil(residual, aj))
 		} else {
-			st.lowerHi(j, divFloorInto(st.scr.q, st.scr.rem, residual, aj))
+			st.lowerHi(t.j, st.divFloor(residual, aj))
 		}
-		if st.infeasible {
+		if st.halted() {
 			return
 		}
 	}
 }
 
-// termMax writes the maximum of (sign·a)·x_j over [lo_j, hi_j] into dst;
-// inf reports an unbounded term (positive coefficient, no upper bound).
+// termMax returns the maximum of a·x_j (−a·x_j when neg is set) over
+// [lo_j, hi_j]; inf reports an unbounded term (positive coefficient, no
+// upper bound).
 //
 //xic:hotpath
-func (st *state) termMax(dst *big.Int, j int, a *big.Int, sign int, neg bool) (inf bool) {
-	pos := (a.Sign() > 0) == (sign > 0)
-	if pos && st.hi[j] == nil {
-		return true
+func (st *state) termMax(t term, neg bool) (v int64, inf bool) {
+	pos := (t.a > 0) != neg
+	if pos && !st.hasHi[t.j] {
+		return 0, true
 	}
-	bound := st.lo[j]
+	bound := st.lo[t.j]
 	if pos {
-		bound = st.hi[j]
+		bound = st.hi[t.j]
 	}
-	dst.Mul(a, bound)
+	v = st.mul(t.a, bound)
 	if neg {
-		dst.Neg(dst)
+		v = st.neg(v)
 	}
-	return false
+	return v, false
 }
+
+// isZero reports that x_j is forced to zero.
+func (st *state) isZero(j int) bool { return st.hasHi[j] && st.hi[j] == 0 }
 
 // resolveImplications applies the conditional-constraint rules: forced-zero
 // consequents zero their antecedents through the transitive closure of the
 // implication graph, then every implication that has become decided is
 // dropped (materializing y ≥ 1 when its antecedent is forced positive).
 func (st *state) resolveImplications() {
-	zero := func(j int) bool { return st.hi[j] != nil && st.hi[j].Sign() == 0 }
-
-	rev := make(map[int][]int)
-	for _, im := range st.imps {
-		rev[im.Then] = append(rev[im.Then], im.If)
+	if len(st.imps) == 0 {
+		return
 	}
-	var stack []int
+	stack := st.stack[:0]
 	for j := 0; j < st.n; j++ {
-		if zero(j) {
+		if st.isZero(j) {
 			stack = append(stack, j)
 		}
 	}
+	// Every variable enters the stack at most once: when found zero above,
+	// or when zeroed below.
 	for len(stack) > 0 {
 		y := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, x := range rev[y] {
-			if zero(x) {
+		for _, x := range st.revIf[st.revStart[y]:st.revStart[y+1]] {
+			if st.isZero(x) {
 				continue
 			}
 			// x > 0 would force y > 0, impossible: x must be zero too.
-			st.lowerHi(x, new(big.Int))
+			st.lowerHi(x, 0)
 			if st.infeasible {
 				return
 			}
@@ -465,10 +504,10 @@ func (st *state) resolveImplications() {
 	kept := st.imps[:0]
 	for _, im := range st.imps {
 		switch {
-		case zero(im.If): // antecedent dead: vacuously satisfied
-		case st.lo[im.Then].Sign() > 0: // consequent already positive
-		case st.lo[im.If].Sign() > 0: // forced antecedent: becomes Then ≥ 1
-			st.raiseLo(im.Then, big.NewInt(1))
+		case st.isZero(im.If): // antecedent dead: vacuously satisfied
+		case st.lo[im.Then] > 0: // consequent already positive
+		case st.lo[im.If] > 0: // forced antecedent: becomes Then ≥ 1
+			st.raiseLo(im.Then, 1)
 			if st.infeasible {
 				return
 			}
@@ -486,168 +525,161 @@ func (st *state) resolveImplications() {
 // normalizeRows sweep.
 func (st *state) fixVariables() {
 	for j := 0; j < st.n; j++ {
-		if st.hi[j] == nil {
+		if !st.hasHi[j] {
 			continue
 		}
-		switch st.lo[j].Cmp(st.hi[j]) {
-		case 1:
+		switch {
+		case st.lo[j] > st.hi[j]:
 			st.infeasible = true
 			return
-		case 0:
-			if !st.fixed[j] {
-				st.fixed[j] = true
-				st.changed = true
-			}
+		case st.lo[j] == st.hi[j] && !st.fixed[j]:
+			st.fixed[j] = true
+			st.changed = true
 		}
 	}
 }
 
-// raiseLo raises the lower bound of j to at least v. It is hotpath-marked
-// for propagateGe's benefit; the copy below only runs when the bound
-// actually improves, which the fixpoint bounds independently of how many
-// terms each round inspects.
+// raiseLo raises the lower bound of j to at least v.
 //
 //xic:hotpath
-func (st *state) raiseLo(j int, v *big.Int) {
-	if v.Cmp(st.lo[j]) <= 0 {
+func (st *state) raiseLo(j int, v int64) {
+	if v <= st.lo[j] {
 		return
 	}
-	st.lo[j] = new(big.Int).Set(v) //xic:ignore hotalloc copy on improvement only: v may alias a caller-owned scratch value
+	st.lo[j] = v
 	st.changed = true
-	if st.hi[j] != nil && st.lo[j].Cmp(st.hi[j]) > 0 {
+	if st.hasHi[j] && v > st.hi[j] {
 		st.infeasible = true
 	}
 }
 
-// lowerHi lowers the upper bound of j to at most v. Hotpath-marked like
-// raiseLo: the copy runs only on actual improvements.
+// lowerHi lowers the upper bound of j to at most v.
 //
 //xic:hotpath
-func (st *state) lowerHi(j int, v *big.Int) {
-	if st.hi[j] != nil && v.Cmp(st.hi[j]) >= 0 {
+func (st *state) lowerHi(j int, v int64) {
+	if st.hasHi[j] && v >= st.hi[j] {
 		return
 	}
-	st.hi[j] = new(big.Int).Set(v) //xic:ignore hotalloc copy on improvement only: v may alias a caller-owned scratch value
+	st.hi[j], st.hasHi[j] = v, true
 	st.changed = true
-	if st.lo[j].Cmp(v) > 0 {
+	if st.lo[j] > v {
 		st.infeasible = true
 	}
 }
 
-// mergedRow accumulates every surviving row over one expression (in
-// sign-canonical form): at most one equality constant, the strongest lower
-// constant (c·x ≥ lo) and the strongest upper constant (c·x ≤ hi).
+// mergedRow accumulates every surviving row over one expression in
+// sign-canonical form (first coefficient positive): at most one equality
+// constant, the strongest lower constant (c·x ≥ lo) and the strongest
+// upper constant (c·x ≤ hi). The expression is the first such row's
+// terms, negated when flipped is set.
 type mergedRow struct {
-	coeffs map[int]*big.Int
-	hasEq  bool
-	eqRHS  *big.Int
-	lo     *big.Int
-	hi     *big.Int
+	terms               []term
+	flipped             bool
+	hasEq, hasLo, hasHi bool
+	eqRHS, lo, hi       int64
 }
 
 // dedupRows merges duplicate and dominated rows. Two rows over the same
 // expression keep only the strongest constants; opposite inequalities that
-// meet become an equality; contradictions refute the system.
+// meet become an equality; contradictions refute the system. The merged
+// rows keep the order of each expression's first row.
 func (st *state) dedupRows() {
-	merged := make(map[string]*mergedRow)
-	var order []string
+	merged := make([]mergedRow, 0, len(st.rows))
+	index := make(map[string]int, len(st.rows))
+	var key []byte
 	for _, r := range st.rows {
-		key, flipped := canonicalKey(r.coeffs)
-		m, ok := merged[key]
-		if !ok {
-			m = &mergedRow{coeffs: make(map[int]*big.Int, len(r.coeffs))}
-			for j, c := range r.coeffs {
-				cc := new(big.Int).Set(c)
-				if flipped {
-					cc.Neg(cc)
-				}
-				m.coeffs[j] = cc
+		flipped := r.terms[0].a < 0
+		key = key[:0]
+		for _, t := range r.terms {
+			a := t.a
+			if flipped {
+				a = st.neg(a)
 			}
-			merged[key] = m
-			order = append(order, key)
+			key = binary.AppendVarint(binary.AppendUvarint(key, uint64(t.j)), a)
 		}
-		rhs := new(big.Int).Set(r.rhs)
+		rhs := r.rhs
 		if flipped {
-			rhs.Neg(rhs)
+			rhs = st.neg(rhs)
 		}
+		if st.overflow {
+			return
+		}
+		k, ok := index[string(key)]
+		if !ok {
+			k = len(merged)
+			index[string(key)] = k
+			merged = append(merged, mergedRow{terms: r.terms, flipped: flipped})
+		}
+		m := &merged[k]
 		switch {
 		case r.eq:
-			if m.hasEq && m.eqRHS.Cmp(rhs) != 0 {
+			if m.hasEq && m.eqRHS != rhs {
 				st.infeasible = true // same expression equal to two constants
 				return
 			}
 			m.hasEq, m.eqRHS = true, rhs
 		case !flipped: // c·x ≥ rhs
-			if m.lo == nil || rhs.Cmp(m.lo) > 0 {
-				m.lo = rhs
+			if !m.hasLo || rhs > m.lo {
+				m.hasLo, m.lo = true, rhs
 			}
 		default: // original was (−c)·x ≥ −rhs, i.e. c·x ≤ rhs
-			if m.hi == nil || rhs.Cmp(m.hi) < 0 {
-				m.hi = rhs
+			if !m.hasHi || rhs < m.hi {
+				m.hasHi, m.hi = true, rhs
 			}
 		}
 	}
-	st.rows = st.rows[:0]
-	for _, key := range order {
-		m := merged[key]
-		emit := func(eq bool, rhs *big.Int, negate bool) {
-			coeffs := m.coeffs
-			if negate {
-				coeffs = make(map[int]*big.Int, len(m.coeffs))
-				for j, c := range m.coeffs {
-					coeffs[j] = new(big.Int).Neg(c)
-				}
-				rhs = new(big.Int).Neg(rhs)
-			} else {
-				rhs = new(big.Int).Set(rhs) // copy: rhs may alias a merged bound
+
+	// Each merged row emits at most one row over its source's negated
+	// terms; those are carved from one buffer, made on first use.
+	width := 0
+	for i := range merged {
+		width += len(merged[i].terms)
+	}
+	var negated []term
+	out := func(m *mergedRow, eq bool, rhs int64, negate bool) row {
+		terms := m.terms
+		if negate != m.flipped {
+			if negated == nil {
+				negated = make([]term, 0, width)
 			}
-			st.rows = append(st.rows, &row{coeffs: coeffs, eq: eq, rhs: rhs})
+			start := len(negated)
+			for _, t := range m.terms {
+				negated = append(negated, term{t.j, st.neg(t.a)})
+			}
+			terms = negated[start:len(negated):len(negated)]
 		}
+		if negate {
+			rhs = st.neg(rhs)
+		}
+		return row{terms: terms, eq: eq, rhs: rhs}
+	}
+	rows := st.rows[:0]
+	for i := range merged {
+		m := &merged[i]
 		switch {
 		case m.hasEq:
-			if (m.lo != nil && m.lo.Cmp(m.eqRHS) > 0) || (m.hi != nil && m.hi.Cmp(m.eqRHS) < 0) {
+			if (m.hasLo && m.lo > m.eqRHS) || (m.hasHi && m.hi < m.eqRHS) {
 				st.infeasible = true // equality outside the inequality window
 				return
 			}
-			emit(true, m.eqRHS, false)
-		case m.lo != nil && m.hi != nil:
-			if m.lo.Cmp(m.hi) > 0 {
+			rows = append(rows, out(m, true, m.eqRHS, false))
+		case m.hasLo && m.hasHi:
+			if m.lo > m.hi {
 				st.infeasible = true
 				return
 			}
-			if m.lo.Cmp(m.hi) == 0 {
-				emit(true, m.lo, false) // window closed: a·x ≥ b and a·x ≤ b
+			if m.lo == m.hi {
+				rows = append(rows, out(m, true, m.lo, false)) // window closed: a·x ≥ b and a·x ≤ b
 				continue
 			}
-			emit(false, m.lo, false)
-			emit(false, m.hi, true)
-		case m.lo != nil:
-			emit(false, m.lo, false)
+			rows = append(rows, out(m, false, m.lo, false), out(m, false, m.hi, true))
+		case m.hasLo:
+			rows = append(rows, out(m, false, m.lo, false))
 		default:
-			emit(false, m.hi, true)
+			rows = append(rows, out(m, false, m.hi, true))
 		}
 	}
-}
-
-// canonicalKey renders a coefficient map in a sign- and order-canonical
-// form, so that a row and its negation share a key. flipped reports that
-// the row was negated to reach the canonical sign.
-func canonicalKey(coeffs map[int]*big.Int) (key string, flipped bool) {
-	idx := make([]int, 0, len(coeffs))
-	for j := range coeffs {
-		idx = append(idx, j)
-	}
-	sort.Ints(idx)
-	flipped = coeffs[idx[0]].Sign() < 0
-	var b strings.Builder
-	for _, j := range idx {
-		c := coeffs[j]
-		if flipped {
-			c = new(big.Int).Neg(c)
-		}
-		fmt.Fprintf(&b, "%d:%s,", j, c)
-	}
-	return b.String(), flipped
+	st.rows = rows
 }
 
 // refuted finalizes the counters on a decided-infeasible exit: only the
@@ -679,10 +711,7 @@ func (st *state) emit() *Result {
 	if len(st.rows) == 0 && len(st.imps) == 0 {
 		// Only bounds remain, and every deduction was forced: the least
 		// point x = lo satisfies them all, hence the input system.
-		values := make([]*big.Int, st.n)
-		for j := range values {
-			values[j] = new(big.Int).Set(st.lo[j])
-		}
+		values := bigInts(st.lo, nil)
 		if msg := st.sys.EvalBig(values); msg != "" {
 			if st.allFixed() {
 				// Every value is the only one any solution may take, so a
@@ -698,8 +727,8 @@ func (st *state) emit() *Result {
 	}
 
 	red := linear.NewSystem()
-	for _, name := range st.sys.Names() {
-		red.Var(name)
+	for j := 0; j < st.n; j++ {
+		red.Var(st.sys.Name(j))
 	}
 	for j := 0; j < st.n; j++ {
 		if st.sys.Auxiliary(j) {
@@ -707,20 +736,14 @@ func (st *state) emit() *Result {
 		}
 	}
 	for _, r := range st.rows {
-		e := make(linear.Expr, len(r.coeffs))
-		for j, c := range r.coeffs {
-			if !c.IsInt64() {
-				return st.bail()
-			}
-			e[j] = c.Int64()
-		}
-		if !r.rhs.IsInt64() {
-			return st.bail()
+		e := make(linear.Expr, len(r.terms))
+		for _, t := range r.terms {
+			e[t.j] = t.a
 		}
 		if r.eq {
-			red.AddEq(e, r.rhs.Int64())
+			red.AddEq(e, r.rhs)
 		} else {
-			red.AddGe(e, r.rhs.Int64())
+			red.AddGe(e, r.rhs)
 		}
 	}
 	// Bounds of free variables become singleton rows: the originals were
@@ -730,30 +753,18 @@ func (st *state) emit() *Result {
 		if st.fixed[j] {
 			continue
 		}
-		if st.lo[j].Sign() > 0 {
-			if !st.lo[j].IsInt64() {
-				return st.bail()
-			}
-			red.AddGe(linear.Term(j, 1), st.lo[j].Int64())
+		if st.lo[j] > 0 {
+			red.AddGe(linear.Term(j, 1), st.lo[j])
 		}
-		if st.hi[j] != nil {
-			if !st.hi[j].IsInt64() {
-				return st.bail()
-			}
-			red.AddLe(linear.Term(j, 1), st.hi[j].Int64())
+		if st.hasHi[j] {
+			red.AddLe(linear.Term(j, 1), st.hi[j])
 		}
 	}
 	for _, im := range st.imps {
 		red.AddImplication(im.If, im.Then)
 	}
-	fixed := make([]*big.Int, st.n)
-	for j := 0; j < st.n; j++ {
-		if st.fixed[j] {
-			fixed[j] = new(big.Int).Set(st.lo[j])
-		}
-	}
 	st.stats.RowsOut = len(red.Constraints())
-	return &Result{Sys: red, Fixed: fixed, Stats: st.stats}
+	return &Result{Sys: red, Fixed: bigInts(st.lo, st.fixed), Stats: st.stats}
 }
 
 func (st *state) allFixed() bool {
@@ -765,10 +776,22 @@ func (st *state) allFixed() bool {
 	return true
 }
 
-// bail returns the untouched input when a reduced coefficient or constant
-// no longer fits the int64 representation of linear.System. The caller
-// solves the raw input, so nothing counts as eliminated, fixed or
-// resolved.
+// bigInts converts x to the Result's *big.Int form: every entry, or only
+// those where only is set (nil elsewhere) when only is non-nil.
+func bigInts(x []int64, only []bool) []*big.Int {
+	out := make([]*big.Int, len(x))
+	vals := make([]big.Int, len(x))
+	for j, v := range x {
+		if only == nil || only[j] {
+			out[j] = vals[j].SetInt64(v)
+		}
+	}
+	return out
+}
+
+// bail returns the untouched input: an operation overflowed int64, or
+// the least point failed a safety check. The caller solves the raw input,
+// so nothing counts as eliminated, fixed or resolved.
 func (st *state) bail() *Result {
 	st.stats.Bailed = true
 	st.stats.RowsOut = st.stats.Rows
@@ -778,39 +801,77 @@ func (st *state) bail() *Result {
 	return &Result{Sys: st.sys, Stats: st.stats}
 }
 
-var oneInt = big.NewInt(1)
+// The checked int64 operations. Each returns the wrapped result and sets
+// st.overflow when the exact one does not fit.
 
-// divCeilInto writes ⌈b/a⌉ into q for a ≠ 0, using r as remainder
-// scratch, and returns q.
-//
-//xic:hotpath
-func divCeilInto(q, r, b, a *big.Int) *big.Int {
-	q.QuoRem(b, a, r)
-	if r.Sign() != 0 && (r.Sign() > 0) == (a.Sign() > 0) {
-		q.Add(q, oneInt)
+func (st *state) add(a, b int64) int64 {
+	s := a + b
+	if (s > a) != (b > 0) {
+		st.overflow = true
+	}
+	return s
+}
+
+func (st *state) sub(a, b int64) int64 {
+	d := a - b
+	if (d < a) != (b > 0) {
+		st.overflow = true
+	}
+	return d
+}
+
+func (st *state) mul(a, b int64) int64 {
+	p := a * b
+	if a != 0 && (p/a != b || (a == -1 && b == math.MinInt64)) {
+		st.overflow = true
+	}
+	return p
+}
+
+func (st *state) neg(a int64) int64 {
+	if a == math.MinInt64 {
+		st.overflow = true
+	}
+	return -a
+}
+
+func (st *state) abs(a int64) int64 {
+	if a < 0 {
+		return st.neg(a)
+	}
+	return a
+}
+
+// quo returns b/a truncated, for a ≠ 0.
+func (st *state) quo(b, a int64) int64 {
+	if a == -1 && b == math.MinInt64 {
+		st.overflow = true
+	}
+	return b / a
+}
+
+// divCeil returns ⌈b/a⌉ for a ≠ 0.
+func (st *state) divCeil(b, a int64) int64 {
+	q := st.quo(b, a)
+	if r := b % a; r != 0 && (r > 0) == (a > 0) {
+		q++ // |a| ≥ 2 here, so |q| < |b| and q+1 fits
 	}
 	return q
 }
 
-// divFloorInto writes ⌊b/a⌋ into q for a ≠ 0, using r as remainder
-// scratch, and returns q.
-//
-//xic:hotpath
-func divFloorInto(q, r, b, a *big.Int) *big.Int {
-	q.QuoRem(b, a, r)
-	if r.Sign() != 0 && (r.Sign() > 0) != (a.Sign() > 0) {
-		q.Sub(q, oneInt)
+// divFloor returns ⌊b/a⌋ for a ≠ 0.
+func (st *state) divFloor(b, a int64) int64 {
+	q := st.quo(b, a)
+	if r := b % a; r != 0 && (r > 0) != (a > 0) {
+		q--
 	}
 	return q
 }
 
-// divCeil returns ⌈b/a⌉ for a ≠ 0 in a fresh big.Int (cold-path callers:
-// singleton absorption, gcd tightening, cut generation).
-func divCeil(b, a *big.Int) *big.Int {
-	return divCeilInto(new(big.Int), new(big.Int), b, a)
-}
-
-// divFloor returns ⌊b/a⌋ for a ≠ 0 in a fresh big.Int.
-func divFloor(b, a *big.Int) *big.Int {
-	return divFloorInto(new(big.Int), new(big.Int), b, a)
+// gcd returns the greatest common divisor of a, b ≥ 0 (gcd(0, b) = b).
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

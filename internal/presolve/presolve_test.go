@@ -1,6 +1,7 @@
 package presolve
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -12,22 +13,32 @@ func bi(v int64) *big.Int { return big.NewInt(v) }
 func TestDivCeilFloor(t *testing.T) {
 	cases := []struct {
 		b, a, ceil, floor int64
+		overflow          bool
 	}{
-		{7, 2, 4, 3},
-		{-7, 2, -3, -4},
-		{7, -2, -3, -4},
-		{-7, -2, 4, 3},
-		{6, 3, 2, 2},
-		{-6, 3, -2, -2},
-		{0, 5, 0, 0},
-		{1, 1, 1, 1},
+		{7, 2, 4, 3, false},
+		{-7, 2, -3, -4, false},
+		{7, -2, -3, -4, false},
+		{-7, -2, 4, 3, false},
+		{6, 3, 2, 2, false},
+		{-6, 3, -2, -2, false},
+		{0, 5, 0, 0, false},
+		{1, 1, 1, 1, false},
+		{math.MaxInt64, 2, 1 << 62, 1<<62 - 1, false},
+		{math.MinInt64, 2, -1 << 62, -1 << 62, false},
+		{math.MinInt64 + 1, -1, math.MaxInt64, math.MaxInt64, false},
+		{math.MinInt64, 1, math.MinInt64, math.MinInt64, false},
+		{math.MinInt64, -1, 0, 0, true}, // 2^63 does not fit
 	}
 	for _, c := range cases {
-		if got := divCeil(bi(c.b), bi(c.a)); got.Cmp(bi(c.ceil)) != 0 {
-			t.Errorf("divCeil(%d,%d) = %s, want %d", c.b, c.a, got, c.ceil)
+		st := &state{}
+		ceil := st.divCeil(c.b, c.a)
+		if st.overflow != c.overflow || (!c.overflow && ceil != c.ceil) {
+			t.Errorf("divCeil(%d,%d) = %d (overflow %v), want %d (overflow %v)", c.b, c.a, ceil, st.overflow, c.ceil, c.overflow)
 		}
-		if got := divFloor(bi(c.b), bi(c.a)); got.Cmp(bi(c.floor)) != 0 {
-			t.Errorf("divFloor(%d,%d) = %s, want %d", c.b, c.a, got, c.floor)
+		st = &state{}
+		floor := st.divFloor(c.b, c.a)
+		if st.overflow != c.overflow || (!c.overflow && floor != c.floor) {
+			t.Errorf("divFloor(%d,%d) = %d (overflow %v), want %d (overflow %v)", c.b, c.a, floor, st.overflow, c.floor, c.overflow)
 		}
 	}
 }
@@ -262,8 +273,9 @@ func TestDivergentSpiralKeepsDeductions(t *testing.T) {
 }
 
 func TestOverflowBailsToInput(t *testing.T) {
-	// Propagation drives y's lower bound past int64; emitting the reduced
-	// system is impossible, so presolve must hand back the input unchanged.
+	// Propagation would drive y's lower bound past int64: already the
+	// activity term −4x at x ≥ 2^62 leaves it, so presolve must stop and
+	// hand back the input unchanged.
 	s := linear.NewSystem()
 	x, y, z := s.Var("x"), s.Var("y"), s.Var("z")
 	s.AddGe(linear.Term(x, 1), 1<<62)
