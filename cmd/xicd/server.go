@@ -7,7 +7,9 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -54,6 +56,7 @@ type server struct {
 	inflight *expvar.Int
 	requests *expvar.Map // per-endpoint request counts
 	statuses *expvar.Map // per-status response counts
+	panics   *expvar.Map // per-endpoint recovered handler panics
 	elements *expvar.Int // total elements seen by streaming validation
 }
 
@@ -69,11 +72,13 @@ func newServer(cfg config) *server {
 		inflight: new(expvar.Int),
 		requests: new(expvar.Map).Init(),
 		statuses: new(expvar.Map).Init(),
+		panics:   new(expvar.Map).Init(),
 		elements: new(expvar.Int),
 	}
 	s.vars.Set("requests_inflight", s.inflight)
 	s.vars.Set("requests_total", s.requests)
 	s.vars.Set("responses_by_status", s.statuses)
+	s.vars.Set("panics", s.panics)
 	s.vars.Set("validate_elements_total", s.elements)
 	// The two-level cache, one counter block per tier: the schema tier
 	// amortises the heavy per-DTD compilation, the spec tier the cheap
@@ -244,14 +249,75 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// count wraps a handler with the request/inflight counters.
+// count wraps a handler with the request/inflight counters, and turns a
+// handler panic into a logged, counted 500 rather than a dropped
+// connection. A panic on a session route also drops the session: its
+// indexes may be mid-edit.
 func (s *server) count(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(name, 1)
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
+		sw := &startedWriter{ResponseWriter: w}
+		w = sw // handed on as w, so httpguard still sees h write the status
+		defer func() {
+			if v := recover(); v != nil {
+				s.recovered(sw, r, name, v)
+			}
+		}()
 		h(w, r)
 	}
+}
+
+// recovered handles a panic that escaped the handler of endpoint name.
+func (s *server) recovered(w *startedWriter, r *http.Request, name string, v any) {
+	if v == http.ErrAbortHandler {
+		panic(v) // the handler asked net/http to abort the response
+	}
+	s.panics.Add(name, 1)
+	log.Printf("xicd: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+	sid := r.PathValue("sid")
+	if sid != "" {
+		s.sessions.Delete(sid)
+	}
+	if w.started {
+		return // the status is on the wire; the response ends where the handler stopped
+	}
+	msg := "internal error serving " + name
+	if sid != "" {
+		msg += "; session " + sid + " was closed"
+	}
+	s.writeStatusError(w, http.StatusInternalServerError, "internal", "%s", msg)
+}
+
+// startedWriter records whether a handler has begun its response, so a
+// recovered panic knows whether a 500 can still be sent.
+type startedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (w *startedWriter) WriteHeader(code int) {
+	w.started = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *startedWriter) Write(b []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(b)
+}
+
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (w *startedWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// baseWriter returns the writer net/http handed the server, from under
+// count's startedWriter: only through it can http.MaxBytesReader mark an
+// oversized request's connection for closing.
+func baseWriter(w http.ResponseWriter) http.ResponseWriter {
+	if sw, ok := w.(*startedWriter); ok {
+		return sw.ResponseWriter
+	}
+	return w
 }
 
 // errorBody is the uniform JSON error envelope.
@@ -341,7 +407,7 @@ func (s *server) requestContext(r *http.Request, bodyTimeout string) (context.Co
 // decodeJSON reads a size-bounded JSON body into v. An empty body leaves v
 // untouched, so endpoints with all-optional parameters accept bare POSTs.
 func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	body := http.MaxBytesReader(baseWriter(w), r.Body, s.cfg.MaxBody)
 	data, err := io.ReadAll(body)
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -819,7 +885,7 @@ func (s *server) handleValidate(w http.ResponseWriter, r *http.Request, spec *xi
 	defer cancel()
 	body := r.Body
 	if s.cfg.MaxDoc > 0 {
-		body = http.MaxBytesReader(w, body, s.cfg.MaxDoc)
+		body = http.MaxBytesReader(baseWriter(w), body, s.cfg.MaxDoc)
 	}
 	rep, err := spec.ValidateStream(ctx, body) //xic:ignore httpguard MaxDoc=0 opts out of the body cap by operator choice; the stream validator holds bounded memory regardless of document size
 	if err != nil {

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -986,5 +988,100 @@ func TestSessionLRUCapacity(t *testing.T) {
 	}
 	if w := do(t, h, "GET", "/v1/sessions/"+ids[1], ""); w.Code != http.StatusOK {
 		t.Fatalf("live session lost: %d", w.Code)
+	}
+}
+
+// TestHandlerPanicRecovered: a handler behind count and withSession that
+// panics with an index out of range answers 500 with kind internal, counts the panic by
+// endpoint, drops the session it was editing, and leaves the server
+// serving. A handler that panics after writing keeps its status.
+func TestHandlerPanicRecovered(t *testing.T) {
+	s := newTestServer(t, config{})
+	mux := s.handler().(*http.ServeMux)
+	mux.HandleFunc("POST /v1/sessions/{sid}/boom", s.count("boom", s.withSession(
+		func(w http.ResponseWriter, r *http.Request, h *sessionHandle) {
+			var slots []int // an out-of-range slot, as a corrupt index would give
+			s.writeJSON(w, http.StatusOK, slots[len(r.URL.Path)])
+		})))
+	mux.HandleFunc("POST /v1/late", s.count("late", func(w http.ResponseWriter, r *http.Request) {
+		s.writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		panic("late")
+	}))
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	compile, _ := json.Marshal(map[string]string{"dtd": dbDTD, "constraints": dbXIC})
+	id := decode[compileResponse](t, do(t, mux, "POST", "/v1/specs", string(compile))).ID
+	sid := decode[openSessionResponse](t, do(t, mux, "POST", "/v1/specs/"+id+"/sessions", dbDocOK)).SessionID
+
+	w := do(t, mux, "POST", "/v1/sessions/"+sid+"/boom", "")
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking handler: status %d: %s", w.Code, w.Body)
+	}
+	if e := decode[map[string]errorBody](t, w)["error"]; e.Kind != "internal" || e.Status != http.StatusInternalServerError {
+		t.Fatalf("panicking handler: error body %+v", e)
+	}
+	if w := do(t, mux, "GET", "/v1/sessions/"+sid, ""); w.Code != http.StatusNotFound {
+		t.Fatalf("session survived its handler's panic: status %d", w.Code)
+	}
+	if w := do(t, mux, "POST", "/v1/late", ""); w.Code != http.StatusOK {
+		t.Fatalf("panic after writing: status %d, want the handler's 200", w.Code)
+	}
+	vars := decode[struct {
+		Panics map[string]int64 `json:"panics"`
+	}](t, do(t, mux, "GET", "/debug/vars", ""))
+	if vars.Panics["boom"] != 1 || vars.Panics["late"] != 1 || len(vars.Panics) != 2 {
+		t.Fatalf("panic counters = %v", vars.Panics)
+	}
+	// The server still serves, sessions included.
+	if w := do(t, mux, "POST", "/v1/specs/"+id+"/sessions", dbDocOK); w.Code != http.StatusCreated {
+		t.Fatalf("open after panics: status %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestEditPathIndexOverflow: a path index past the int range does not
+// resolve; the edit is rejected in a 200 and changes nothing.
+func TestEditPathIndexOverflow(t *testing.T) {
+	h := newTestServer(t, config{}).handler()
+	compile, _ := json.Marshal(map[string]string{"dtd": dbDTD, "constraints": dbXIC})
+	id := decode[compileResponse](t, do(t, h, "POST", "/v1/specs", string(compile))).ID
+	sid := decode[openSessionResponse](t, do(t, h, "POST", "/v1/specs/"+id+"/sessions", dbDocOK)).SessionID
+	before := do(t, h, "GET", "/v1/sessions/"+sid+"/document", "").Body.String()
+	for _, idx := range []string{"18446744073709551616", "18446744073709551617"} {
+		ops, _ := json.Marshal(map[string]any{"ops": []map[string]any{
+			{"kind": "setattr", "path": "db/emp[" + idx + "]", "attr": "id", "value": "e9"},
+		}})
+		w := do(t, h, "POST", "/v1/sessions/"+sid+"/edits", string(ops))
+		if w.Code != http.StatusOK {
+			t.Fatalf("index %s: status %d: %s", idx, w.Code, w.Body)
+		}
+		res := decode[editsResponse](t, w)
+		if res.Applied != 0 || res.Rejected == nil || len(res.Rejected.Violations) != 1 ||
+			!strings.Contains(res.Rejected.Violations[0].Msg, "does not resolve") {
+			t.Fatalf("index %s: %+v", idx, res)
+		}
+	}
+	if after := do(t, h, "GET", "/v1/sessions/"+sid+"/document", "").Body.String(); after != before {
+		t.Fatalf("rejected edits changed the document:\n%s", after)
+	}
+}
+
+// TestOversizeBodyClosesConnection: behind count's response wrapper, an
+// oversized body still makes net/http close the connection after the
+// 413 rather than drain the rest of the body.
+func TestOversizeBodyClosesConnection(t *testing.T) {
+	s := newTestServer(t, config{MaxBody: 64})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/specs", "application/json", strings.NewReader(strings.Repeat(" ", 1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if !resp.Close {
+		t.Fatal("the server keeps the connection of an oversized request open")
 	}
 }

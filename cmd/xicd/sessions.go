@@ -39,7 +39,7 @@ func (s *server) handleOpenSession(w http.ResponseWriter, r *http.Request, spec 
 	defer cancel()
 	body := r.Body
 	if s.cfg.MaxDoc > 0 {
-		body = http.MaxBytesReader(w, body, s.cfg.MaxDoc)
+		body = http.MaxBytesReader(baseWriter(w), body, s.cfg.MaxDoc)
 	}
 	sess, err := spec.OpenSession(ctx, body) //xic:ignore httpguard MaxDoc=0 opts out of the body cap by operator choice, matching /validate
 	if err != nil {

@@ -6,6 +6,7 @@ package xic_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -24,7 +25,10 @@ func editSpec(tb testing.TB) *xic.Spec {
 }
 
 // BenchmarkSessionEdit measures steady-state per-edit cost through an open
-// session on the 1e5-element corpus case.
+// session on the 1e5-element corpus case: point edits, and structural
+// edits in the middle of the root's 4000 children. An op is one pass
+// over the sub-benchmark's edit cycle; ns/edit divides it among the
+// edits.
 func BenchmarkSessionEdit(b *testing.B) {
 	spec := editSpec(b)
 	c := editbench.DefaultCorpus()[2]
@@ -32,23 +36,40 @@ func BenchmarkSessionEdit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A steady-state mix that stays valid under endless repetition: a ref
-	// retargeted between two live groups, an item's text toggled, and a
-	// never-referenced group renamed back and forth.
-	ops := []xic.EditOp{
-		xic.SetAttr("lib/ref[0]", "to", "g1"),
-		xic.SetText("lib/grp[0]/item[0]", "pong"),
-		xic.SetAttr("lib/grp[2399]", "id", "spare-a"),
-		xic.SetAttr("lib/ref[0]", "to", "g2"),
-		xic.SetText("lib/grp[0]/item[0]", "ping"),
-		xic.SetAttr("lib/grp[2399]", "id", "spare-b"),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := sess.Apply(ops[i%len(ops)]); res.Rejected != nil {
-			b.Fatalf("op %d rejected: %+v", i%len(ops), res.Rejected)
+	// Each iteration applies the whole cycle, which leaves the document
+	// as it found it.
+	run := func(b *testing.B, cycle []xic.EditOp) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k, op := range cycle {
+				if res := sess.Apply(op); res.Rejected != nil {
+					b.Fatalf("op %d rejected: %+v", k, res.Rejected)
+				}
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cycle)), "ns/edit")
 	}
+	// A steady-state mix: a ref retargeted between two live groups, an
+	// item's text toggled, and a never-referenced group renamed back and
+	// forth.
+	b.Run("point", func(b *testing.B) {
+		run(b, []xic.EditOp{
+			xic.SetAttr("lib/ref[0]", "to", "g1"),
+			xic.SetText("lib/grp[0]/item[0]", "pong"),
+			xic.SetAttr("lib/grp[2399]", "id", "spare-a"),
+			xic.SetAttr("lib/ref[0]", "to", "g2"),
+			xic.SetText("lib/grp[0]/item[0]", "ping"),
+			xic.SetAttr("lib/grp[2399]", "id", "spare-b"),
+		})
+	})
+	// A fresh group inserted among the groups and deleted again.
+	mid := c.Groups / 2
+	b.Run("structural", func(b *testing.B) {
+		run(b, []xic.EditOp{
+			xic.InsertSubtree("lib", mid, `<grp id="bench-mid" tag="t0"><item>x</item></grp>`),
+			xic.DeleteSubtree(fmt.Sprintf("lib/grp[%d]", mid)),
+		})
+	})
 }
 
 // TestWriteEditBench records the session-vs-restream comparison to the

@@ -170,19 +170,17 @@ func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Indexes
 
 // Sink consumes the events of a RunRetainInto pass next to the checker:
 // each start tag with its element type, each non-blank text run, and each
-// end tag with the element's content-model run after all its children
-// (nil for an undeclared type). The run and the byte slices are only
-// valid during the call.
+// end tag. The byte slices are only valid during the call.
 type Sink interface {
 	Start(label string, attrs []xmlscan.Attr)
 	Text(text []byte)
-	End(run *dtd.Run)
+	End()
 }
 
 // RunRetainInto is RunRetain with a second consumer of the same pass.
 // Document sessions (internal/docsession) open through here: the sink
-// builds the tree and saves each element's content-model checkpoint
-// while the checker fills the indexes the session keeps.
+// builds the tree and indexes the children of wide parents while the
+// checker fills the constraint indexes the session keeps.
 func (c *Checker) RunRetainInto(ctx context.Context, r io.Reader, sink Sink) (*Report, *Indexes, error) {
 	return c.runPass(ctx, r, true, sink)
 }
@@ -369,7 +367,7 @@ func (rn *run) end() {
 			rn.path(rn.depth), f.decl.Content)
 	}
 	if rn.sink != nil {
-		rn.sink.End(f.run)
+		rn.sink.End()
 	}
 	rn.depth--
 }

@@ -247,6 +247,16 @@ func (in *InclusionIndex) ChildCount(t string) int { return in.children[t].count
 //xic:hotpath
 func (in *InclusionIndex) ParentCount(t string) int { return in.parents[t] }
 
+// Dangling reports whether the child tuple t has no parent occurrence,
+// with the tuple's first recorded position.
+func (in *InclusionIndex) Dangling(t string) (first SrcPos, ok bool) {
+	e, ok := in.children[t]
+	if !ok || in.parents[t] > 0 {
+		return SrcPos{}, false
+	}
+	return e.first, true
+}
+
 // EachUnmatched calls f for every distinct child tuple with no parent
 // occurrence, in unspecified order, with the tuple's first recorded
 // position.

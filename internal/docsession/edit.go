@@ -85,10 +85,11 @@ type RepairHint struct {
 }
 
 // Apply applies the edit script transactionally op by op: each op either
-// commits in full or is rejected — leaving the document, indexes, and
-// checkpoints untouched — and a rejection stops the batch. Accepted
-// point edits run in O(edit): the touched constraint indexes update by
-// refcount and only the touched content models re-run.
+// commits in full or is rejected — leaving the document and every index
+// untouched — and a rejection stops the batch. Accepted edits run in
+// O(edit): the touched constraint indexes update by refcount, and a
+// structural edit re-runs its parent's content model only from the
+// edited slot until the run meets the old one.
 func (s *Session) Apply(ops ...EditOp) ApplyResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,8 +244,8 @@ func (s *Session) setTextFast(op *EditOp) opStatus {
 }
 
 // setTextSlow handles the text-presence toggle: the child sequence flips
-// between [#PCDATA] and [], so the element's content model re-runs (an
-// O(1) replay) and its checkpoint updates.
+// between [#PCDATA] and [], so the element's content model re-runs over
+// at most one symbol. A text-only element is never wide.
 func (s *Session) setTextSlow(n *xmltree.Node, value string, ws bool) opStatus {
 	r := s.runFor(n.Label)
 	r.Reset()
@@ -254,13 +255,11 @@ func (s *Session) setTextSlow(n *xmltree.Node, value string, ws bool) opStatus {
 	if !r.Accepting() {
 		return opBadContent
 	}
-	r.SaveInto(&s.endState)
 	if ws {
 		n.Children = n.Children[:0]
 	} else {
 		n.Children = append(n.Children[:0], xmltree.NewText(value))
 	}
-	s.commitState(n)
 	return opOK
 }
 
@@ -284,11 +283,11 @@ func (s *Session) applyInsert(op *EditOp) *RejectedEdit {
 	if rej := s.conformReject(op, sub.Root); rej != nil {
 		return rej
 	}
-	if !s.replayChildren(parent, -1, op.Index, sub.Root.Label) {
+	if !s.replay(parent, op.Index, true, sub.Root.Label) {
 		return s.contentReject(op, parent)
 	}
 	s.beginOp()
-	s.addSubtree(sub.Root)
+	added := s.addSubtree(sub.Root)
 	if s.anyViolated() {
 		rej := s.buildRejection(op, sub.Root)
 		s.rollback()
@@ -297,9 +296,18 @@ func (s *Session) applyInsert(op *EditOp) *RejectedEdit {
 	parent.Children = append(parent.Children, nil)
 	copy(parent.Children[op.Index+1:], parent.Children[op.Index:])
 	parent.Children[op.Index] = sub.Root
-	s.commitState(parent)
-	s.checkpointSubtree(sub.Root)
-	s.elems += countElements(sub.Root)
+	if k := s.wide[parent]; k != nil {
+		k.insert(op.Index, sub.Root.Label, s.stage[:s.nstage*k.words])
+	} else if len(parent.Children) > wideKids {
+		s.indexKids(parent)
+	}
+	walk(sub.Root, func(e *xmltree.Node) bool {
+		if len(e.Children) > wideKids {
+			s.indexKids(e)
+		}
+		return true
+	})
+	s.elems += added
 	return nil
 }
 
@@ -313,110 +321,133 @@ func (s *Session) applyDelete(op *EditOp) *RejectedEdit {
 	if parent == nil {
 		return s.structuralReject(op, "cannot delete the root element")
 	}
-	if !s.replayChildren(parent, slot, -1, "") {
+	if !s.replay(parent, slot, false, "") {
 		return s.contentReject(op, parent)
 	}
 	s.beginOp()
-	s.removeSubtree(n)
+	removed := s.removeSubtree(n)
 	if s.anyViolated() {
 		rej := s.buildRejection(op, n)
 		s.rollback()
 		return rej
 	}
-	copy(parent.Children[slot:], parent.Children[slot+1:])
-	parent.Children = parent.Children[:len(parent.Children)-1]
 	// The removal can make two text siblings adjacent; merge them so the
 	// tree stays in parse-normal form (one text node per run), matching
 	// what a re-parse of the serialized document would produce.
-	if slot > 0 && slot < len(parent.Children) &&
-		parent.Children[slot-1].IsText() && parent.Children[slot].IsText() {
+	merge := mergesText(parent, slot)
+	copy(parent.Children[slot:], parent.Children[slot+1:])
+	parent.Children = parent.Children[:len(parent.Children)-1]
+	if merge {
 		parent.Children[slot-1].Value += parent.Children[slot].Value
 		copy(parent.Children[slot:], parent.Children[slot+1:])
 		parent.Children = parent.Children[:len(parent.Children)-1]
 	}
-	s.commitState(parent)
-	s.dropCheckpoints(n)
-	s.elems -= countElements(n)
+	if k := s.wide[parent]; k != nil {
+		if len(parent.Children) <= wideKids {
+			delete(s.wide, parent)
+		} else {
+			k.remove(slot, n.Label)
+			if merge {
+				k.remove(slot, dtd.TextSymbol)
+			}
+			copy(k.sets[slot*k.words:], s.stage[:s.nstage*k.words])
+		}
+	}
+	walk(n, func(e *xmltree.Node) bool {
+		if len(e.Children) > wideKids {
+			delete(s.wide, e)
+		}
+		return true
+	})
+	s.elems -= removed
 	return nil
 }
 
 // addSubtree feeds every element of the subtree through its label's
-// index bindings, recording undo entries.
-func (s *Session) addSubtree(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	for _, b := range s.plan.byLabel[n.Label] {
-		vals, ok := s.tupleOf(n, b.attrs)
-		if !ok {
-			if b.role == roleChild {
-				b.incl.AddLacking()
-				s.pushUndo(undoEntry{kind: undoLackAdd, incl: b.incl})
-				s.touch(b.entry)
+// index bindings, recording undo entries, and returns the element count.
+func (s *Session) addSubtree(sub *xmltree.Node) int {
+	count := 0
+	walk(sub, func(n *xmltree.Node) bool {
+		count++
+		for _, b := range s.plan.byLabel[n.Label] {
+			vals, ok := s.tupleOf(n, b.attrs)
+			if !ok {
+				if b.role == roleChild {
+					b.incl.AddLacking()
+					s.pushUndo(undoEntry{kind: undoLackAdd, incl: b.incl})
+					s.touch(b.entry)
+				}
+				continue
 			}
-			continue
+			t := tupleKey(vals)
+			s.touch(b.entry)
+			switch b.role {
+			case roleKey:
+				b.key.Add(t, doccheck.SrcPos{})
+				s.pushUndo(undoEntry{kind: undoKeyAdd, key: b.key, t: t})
+			case roleChild:
+				b.incl.AddChild(t, doccheck.SrcPos{})
+				s.pushUndo(undoEntry{kind: undoChildAdd, incl: b.incl, t: t})
+			case roleParent:
+				b.incl.AddParent(t)
+				s.pushUndo(undoEntry{kind: undoParentAdd, incl: b.incl, t: t})
+			}
 		}
-		t := tupleKey(vals)
-		s.touch(b.entry)
-		switch b.role {
-		case roleKey:
-			b.key.Add(t, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoKeyAdd, key: b.key, t: t})
-		case roleChild:
-			b.incl.AddChild(t, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoChildAdd, incl: b.incl, t: t})
-		case roleParent:
-			b.incl.AddParent(t)
-			s.pushUndo(undoEntry{kind: undoParentAdd, incl: b.incl, t: t})
-		}
-	}
-	for _, c := range n.Children {
-		s.addSubtree(c)
-	}
+		return true
+	})
+	return count
 }
 
 // removeSubtree withdraws every element of the subtree from its label's
-// index bindings, recording undo entries.
-func (s *Session) removeSubtree(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	for _, b := range s.plan.byLabel[n.Label] {
-		vals, ok := s.tupleOf(n, b.attrs)
-		if !ok {
-			if b.role == roleChild {
-				b.incl.RemoveLacking()
-				s.pushUndo(undoEntry{kind: undoLackRemove, incl: b.incl})
-				s.touch(b.entry)
+// index bindings, recording undo entries, and returns the element count.
+func (s *Session) removeSubtree(sub *xmltree.Node) int {
+	count := 0
+	walk(sub, func(n *xmltree.Node) bool {
+		count++
+		for _, b := range s.plan.byLabel[n.Label] {
+			vals, ok := s.tupleOf(n, b.attrs)
+			if !ok {
+				if b.role == roleChild {
+					b.incl.RemoveLacking()
+					s.pushUndo(undoEntry{kind: undoLackRemove, incl: b.incl})
+					s.touch(b.entry)
+				}
+				continue
 			}
-			continue
+			t := tupleKey(vals)
+			s.touch(b.entry)
+			switch b.role {
+			case roleKey:
+				pos := b.key.Remove(t)
+				s.pushUndo(undoEntry{kind: undoKeyRemove, key: b.key, t: t, pos: pos})
+			case roleChild:
+				pos := b.incl.RemoveChild(t)
+				s.pushUndo(undoEntry{kind: undoChildRemove, incl: b.incl, t: t, pos: pos})
+			case roleParent:
+				b.incl.RemoveParent(t)
+				s.pushUndo(undoEntry{kind: undoParentRemove, incl: b.incl, t: t})
+			}
 		}
-		t := tupleKey(vals)
-		s.touch(b.entry)
-		switch b.role {
-		case roleKey:
-			pos := b.key.Remove(t)
-			s.pushUndo(undoEntry{kind: undoKeyRemove, key: b.key, t: t, pos: pos})
-		case roleChild:
-			pos := b.incl.RemoveChild(t)
-			s.pushUndo(undoEntry{kind: undoChildRemove, incl: b.incl, t: t, pos: pos})
-		case roleParent:
-			b.incl.RemoveParent(t)
-			s.pushUndo(undoEntry{kind: undoParentRemove, incl: b.incl, t: t})
-		}
-	}
-	for _, c := range n.Children {
-		s.removeSubtree(c)
-	}
+		return true
+	})
+	return count
 }
 
 // conformReject checks the inserted subtree's local conformance (declared
 // types, exact attribute sets, content models) and returns a rejection
-// for the first failure.
-func (s *Session) conformReject(op *EditOp, n *xmltree.Node) *RejectedEdit {
-	if n.IsText() {
-		return nil
-	}
+// for the first failure in document order.
+func (s *Session) conformReject(op *EditOp, sub *xmltree.Node) *RejectedEdit {
+	var rej *RejectedEdit
+	walk(sub, func(n *xmltree.Node) bool {
+		rej = s.conformElement(op, n)
+		return rej == nil
+	})
+	return rej
+}
+
+// conformElement checks one inserted element's type, attributes and
+// children sequence.
+func (s *Session) conformElement(op *EditOp, n *xmltree.Node) *RejectedEdit {
 	decl := s.d.Element(n.Label)
 	if decl == nil {
 		return s.structuralReject(op, "inserted element type %q is not declared", n.Label)
@@ -443,84 +474,7 @@ func (s *Session) conformReject(op *EditOp, n *xmltree.Node) *RejectedEdit {
 	if !r.Accepting() {
 		return s.structuralReject(op, "children of inserted %s do not match content model %s: sequence is incomplete", n.Label, decl.Content)
 	}
-	for _, c := range n.Children {
-		if rej := s.conformReject(op, c); rej != nil {
-			return rej
-		}
-	}
 	return nil
-}
-
-// replayChildren re-runs p's content model over its child labels with
-// one hypothetical change — skipSlot removed (-1: none) or insLabel
-// inserted at insertAt (-1: none) — without touching the tree. Adjacent
-// text runs coalesce into one #PCDATA symbol, matching the streaming
-// checker's view of the serialized document (a deletion can make two
-// text siblings adjacent). On success the end state is staged in
-// s.endState for commitState.
-func (s *Session) replayChildren(p *xmltree.Node, skipSlot, insertAt int, insLabel string) bool {
-	// Append fast path: extending at the end resumes from the element's
-	// retained checkpoint instead of replaying every child. Inserted
-	// subtree roots are elements, so text coalescing cannot apply.
-	if skipSlot < 0 && insertAt == len(p.Children) && insLabel != dtd.TextSymbol {
-		if st, ok := s.state[p]; ok {
-			r := s.runFor(p.Label)
-			r.Restore(st)
-			if !r.Step(insLabel) || !r.Accepting() {
-				return false
-			}
-			r.SaveInto(&s.endState)
-			return true
-		}
-	}
-	r := s.runFor(p.Label)
-	r.Reset()
-	ok := true
-	lastText := false
-	step := func(label string) {
-		if !ok {
-			return
-		}
-		if label == dtd.TextSymbol {
-			if lastText {
-				return // adjacent runs form one text node
-			}
-			lastText = true
-		} else {
-			lastText = false
-		}
-		if !r.Step(label) {
-			ok = false
-		}
-	}
-	for i := 0; i <= len(p.Children); i++ {
-		if i == insertAt {
-			step(insLabel)
-		}
-		if i == len(p.Children) {
-			break
-		}
-		if i != skipSlot {
-			step(p.Children[i].Label)
-		}
-	}
-	if !ok || !r.Accepting() {
-		return false
-	}
-	r.SaveInto(&s.endState)
-	return true
-}
-
-// commitState installs the staged end state as p's retained checkpoint.
-func (s *Session) commitState(p *xmltree.Node) {
-	st := s.state[p]
-	if st == nil {
-		st = &dtd.State{}
-		s.state[p] = st
-	}
-	r := s.runFor(p.Label)
-	r.Restore(&s.endState)
-	r.SaveInto(st)
 }
 
 // ---- undo log ----------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,11 +22,14 @@ import (
 // op's session verdict must agree with a full streaming validation of the
 // materialized candidate document — an op is accepted iff applying it to
 // a shadow copy of the tree yields a document ValidateStream calls clean
-// — and the session's retained document must stay clean throughout.
+// — the session's retained document must stay clean throughout, and its
+// kids indexes must match ones rebuilt from the tree.
 func FuzzSessionAgreement(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(8))
 	f.Add(int64(7), int64(11), uint8(16))
 	f.Add(int64(42), int64(0), uint8(4))
+	f.Add(int64(3), int64(5), uint8(31))
+	f.Add(int64(9), int64(13), uint8(31))
 	f.Fuzz(func(t *testing.T, docSeed, editSeed int64, nOps uint8) {
 		d, sigma, doc := fuzzDocument(t, docSeed)
 		ck, v := fuzzChecker(d, sigma)
@@ -72,6 +76,9 @@ func FuzzSessionAgreement(f *testing.F) {
 				}
 			}
 
+			// The kids indexes describe the tree as it now is.
+			checkKids(t, s)
+
 			// The session invariant: its retained document is always clean.
 			rep, err := ck.Run(context.Background(), strings.NewReader(s.Document()))
 			if err != nil || !rep.OK() {
@@ -93,9 +100,10 @@ var nonXMLSpace = []string{"\u00a0", "\u2003", "\u0085", " \u00a0 "}
 
 // fuzzDocument derives a deterministic specification and valid base
 // document from the seed. Even seeds use the constraint-rich lib family
-// (keys and foreign keys, bases valid by construction); odd seeds use a
-// random DTD with no constraints, exercising structural and
-// content-model agreement on arbitrary shapes.
+// (keys and foreign keys, bases valid by construction); odd multiples of
+// three the wide family; other odd seeds a random DTD with no
+// constraints, exercising structural and content-model agreement on
+// arbitrary shapes.
 func fuzzDocument(t *testing.T, seed int64) (*dtd.DTD, []constraint.Constraint, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -124,12 +132,88 @@ func fuzzDocument(t *testing.T, seed int64) (*dtd.DTD, []constraint.Constraint, 
 		b.WriteString("</lib>")
 		return d, sigma, b.String()
 	}
+	if seed%3 == 0 {
+		return wideDocument(t, rng)
+	}
 	d := randgen.RandDTD(rng, randgen.DTDSpec{Types: 3 + rng.Intn(4), Depth: 2, AttrsPer: 2})
 	var buf bytes.Buffer
 	if _, err := randgen.WriteDocument(&buf, d, rng, randgen.DocSpec{TargetNodes: 30 + rng.Intn(40)}); err != nil {
 		t.Skipf("document generation: %v", err)
 	}
 	return d, nil, buf.String()
+}
+
+// wideDTD puts wide parents under content models where one edit in the
+// middle changes the automaton's position set after many of the children
+// that follow it. In g, the set after a child records whether the run may
+// have passed the mandatory a yet: inserting an a before a run of b, or
+// deleting one, changes the set after every b up to the next a. In e, it
+// records the parity of the children so far, so every insert and delete
+// changes it after all the children that follow. In m, deleting an
+// element between two text runs merges them.
+const wideDTD = `
+<!ELEMENT r (g | e | m)+>
+<!ELEMENT g ((a | b)*, a, (a | b)*)>
+<!ELEMENT e (((a | b), (a | b))*, (a | b)?)>
+<!ELEMENT m (#PCDATA | a | b)*>
+<!ELEMENT a EMPTY>
+<!ELEMENT b EMPTY>
+`
+
+// wideDocument builds a base document of the wide family: two to four g,
+// e and m parents of 9 to 30 children each, mostly b, so runs of b
+// between the a children are long.
+func wideDocument(t *testing.T, rng *rand.Rand) (*dtd.DTD, []constraint.Constraint, string) {
+	t.Helper()
+	d, err := dtd.Parse(wideDTD)
+	if err != nil {
+		t.Fatalf("wide dtd: %v", err)
+	}
+	leaf := func() string {
+		if rng.Intn(6) == 0 {
+			return "<a/>"
+		}
+		return "<b/>"
+	}
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 2 + rng.Intn(3); i > 0; i-- {
+		n := 9 + rng.Intn(22)
+		switch rng.Intn(3) {
+		case 0:
+			b.WriteString("<g>")
+			at := rng.Intn(n) // the mandatory a
+			for j := 0; j < n; j++ {
+				if j == at {
+					b.WriteString("<a/>")
+				} else {
+					b.WriteString(leaf())
+				}
+			}
+			b.WriteString("</g>")
+		case 1:
+			b.WriteString("<e>")
+			for j := 0; j < n; j++ {
+				b.WriteString(leaf())
+			}
+			b.WriteString("</e>")
+		default:
+			b.WriteString("<m>")
+			text := false
+			for j := 0; j < n; j++ {
+				if !text && rng.Intn(3) == 0 {
+					fmt.Fprintf(&b, "t%d", rng.Intn(9))
+					text = true
+					continue
+				}
+				b.WriteString(leaf())
+				text = false
+			}
+			b.WriteString("</m>")
+		}
+	}
+	b.WriteString("</r>")
+	return d, nil, b.String()
 }
 
 func fuzzChecker(d *dtd.DTD, sigma []constraint.Constraint) (*doccheck.Checker, *xmltree.Validator) {
@@ -206,16 +290,13 @@ func shadowResolve(tr *xmltree.Tree, path string) (n, parent *xmltree.Node, slot
 			return nil, nil, 0
 		}
 		label := seg[:open]
-		idx := 0
 		digits := seg[open+1 : len(seg)-1]
 		if digits == "" {
 			return nil, nil, 0
 		}
-		for _, c := range digits {
-			if c < '0' || c > '9' {
-				return nil, nil, 0
-			}
-			idx = idx*10 + int(c-'0')
+		idx, err := strconv.Atoi(digits)
+		if err != nil || strings.TrimLeft(digits, "0123456789") != "" {
+			return nil, nil, 0 // not decimal digits, or too large for an int
 		}
 		var found *xmltree.Node
 		foundSlot := -1

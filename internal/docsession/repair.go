@@ -8,6 +8,7 @@ package docsession
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -154,36 +155,29 @@ func (s *Session) dupViolations(op *EditOp, sub *xmltree.Node, key *doccheck.Key
 			}
 		}
 	case OpInsertSubtree:
-		var walk func(n *xmltree.Node)
-		walk = func(n *xmltree.Node) {
-			if n.IsText() {
-				return
+		walk(sub, func(n *xmltree.Node) bool {
+			if n.Label != key.Type {
+				return true
 			}
-			if n.Label == key.Type {
-				if vals, ok := s.tupleOf(n, key.Attrs); ok && key.Count(tupleKey(vals)) > 1 {
-					rej.Report.Violations = append(rej.Report.Violations, doccheck.Violation{
-						Path: op.Path, Offset: -1, Constraint: con,
-						Msg: fmt.Sprintf("duplicate key: an inserted %s agrees with an existing %s on (%s)", key.Type, key.Type, attrs),
+			if vals, ok := s.tupleOf(n, key.Attrs); ok && key.Count(tupleKey(vals)) > 1 {
+				rej.Report.Violations = append(rej.Report.Violations, doccheck.Violation{
+					Path: op.Path, Offset: -1, Constraint: con,
+					Msg: fmt.Sprintf("duplicate key: an inserted %s agrees with an existing %s on (%s)", key.Type, key.Type, attrs),
+				})
+				if len(key.Attrs) == 1 {
+					s.hint(rej, &RepairHint{
+						Msg: fmt.Sprintf("give the inserted %s an unused (%s), e.g. %q",
+							key.Type, attrs, witness.FreshValue(key.Has)),
 					})
-					if len(key.Attrs) == 1 {
-						s.hint(rej, &RepairHint{
-							Msg: fmt.Sprintf("give the inserted %s an unused (%s), e.g. %q",
-								key.Type, attrs, witness.FreshValue(key.Has)),
-						})
-					}
 				}
 			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(sub)
+			return true
+		})
 	}
 }
 
-// inclViolations reports the child tuples the op leaves unmatched (all
-// unmatched tuples are the op's doing: the pre-op document was valid) and
-// any inserted child element lacking its tuple.
+// inclViolations reports the child tuples the op leaves unmatched and any
+// inserted child element lacking its tuple.
 func (s *Session) inclViolations(op *EditOp, in *doccheck.InclusionIndex, con constraint.Constraint, rej *RejectedEdit) {
 	attrs := strings.Join(in.ChildAttrs, ", ")
 	if in.Lacking() > 0 && op.Kind == OpInsertSubtree {
@@ -192,20 +186,7 @@ func (s *Session) inclViolations(op *EditOp, in *doccheck.InclusionIndex, con co
 			Msg: fmt.Sprintf("inserted %s element lacks (%s) and cannot be matched", in.ChildType, attrs),
 		})
 	}
-	type miss struct {
-		t   string
-		pos doccheck.SrcPos
-	}
-	var missing []miss
-	in.EachUnmatched(func(t string, first doccheck.SrcPos) {
-		missing = append(missing, miss{t, first})
-	})
-	sort.Slice(missing, func(i, j int) bool {
-		if missing[i].pos.Off != missing[j].pos.Off {
-			return missing[i].pos.Off < missing[j].pos.Off
-		}
-		return missing[i].t < missing[j].t
-	})
+	missing := s.dangling(in)
 	for _, m := range missing {
 		rej.Report.Violations = append(rej.Report.Violations, doccheck.Violation{
 			Path: in.ChildType, Line: m.pos.Line, Offset: m.pos.Off, Constraint: con,
@@ -228,6 +209,40 @@ func (s *Session) inclViolations(op *EditOp, in *doccheck.InclusionIndex, con co
 		Msg: fmt.Sprintf("re-point the dangling (%s) references of %s at an existing %s or restore a matching %s",
 			attrs, in.ChildType, in.ParentType, in.ParentType),
 	})
+}
+
+// miss is one child tuple of an inclusion that no parent tuple matches,
+// with its first recorded position.
+type miss struct {
+	t   string
+	pos doccheck.SrcPos
+}
+
+// dangling lists the child tuples of in that the in-flight op leaves
+// unmatched, by first position, then tuple. The document was valid
+// before the op, so each was added on the child side or lost its last
+// match on the parent side by the op: the undo log names them all, in
+// O(edit) rather than O(index).
+func (s *Session) dangling(in *doccheck.InclusionIndex) []miss {
+	var missing []miss
+	for i := 0; i < s.nundo; i++ {
+		e := &s.undo[i]
+		if e.incl != in || e.kind != undoChildAdd && e.kind != undoParentRemove {
+			continue
+		}
+		if first, ok := in.Dangling(e.t); ok {
+			missing = append(missing, miss{e.t, first})
+		}
+	}
+	sort.Slice(missing, func(i, j int) bool {
+		if missing[i].pos.Off != missing[j].pos.Off {
+			return missing[i].pos.Off < missing[j].pos.Off
+		}
+		return missing[i].t < missing[j].t
+	})
+	// A tuple the log names twice has one first position, so its copies
+	// sort next to each other.
+	return slices.CompactFunc(missing, func(a, b miss) bool { return a.t == b.t })
 }
 
 // hint attaches h as the rejection's repair hint unless one is already

@@ -1,24 +1,28 @@
 // Package docsession implements incremental revalidation of retained
 // documents: a Session ingests a document once through the doccheck
 // pipeline, keeps the parsed tree, the per-constraint hash indexes
-// (doccheck's KeyIndex/InclusionIndex, refcounted so removal works), and
-// a per-element Glushkov automaton checkpoint (dtd.State), and then
-// re-checks edits — InsertSubtree, DeleteSubtree, SetAttr, SetText —
-// against only the touched scopes: the edited element's bindings in the
-// constraint indexes and its parent's content model. An accepted edit
-// costs O(edit), not O(document).
+// (doccheck's KeyIndex/InclusionIndex, refcounted so removal works), and,
+// for every parent with more than a few children, a kids index (kids.go):
+// the children's slots by label and the content model's position set
+// after each child. It then re-checks edits — InsertSubtree,
+// DeleteSubtree, SetAttr, SetText — against only the touched scopes: the
+// edited element's bindings in the constraint indexes and its parent's
+// content model, resumed just before the edited slot. An accepted edit
+// costs O(edit), not O(document) nor O(siblings), apart from the memmove
+// that shifts a parent's child slice and slot lists.
 //
 // The session invariant is validity: Open fails on invalid documents
 // (returning *InvalidDocumentError with the report), and every edit is
 // transactional — an edit that would introduce a violation is rejected
 // with a delta report and a minimal repair hint, leaving the document,
-// the indexes, and the checkpoints exactly as they were.
+// the indexes, and the kids indexes exactly as they were.
 package docsession
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"xic/internal/constraint"
@@ -79,7 +83,7 @@ type Session struct {
 	plan  *plan
 	tree  *xmltree.Tree
 	idx   *doccheck.Indexes
-	state map[*xmltree.Node]*dtd.State // per-element content-model checkpoint
+	wide  map[*xmltree.Node]*kids // exactly the parents with more than wideKids children
 	elems int
 
 	// Scratch buffers, reused across edits so the steady-state apply
@@ -91,19 +95,26 @@ type Session struct {
 	ntouched  int
 	entryMark []uint64
 	gen       uint64
-	endState  dtd.State // parent end-state staged by replayChildren
+	stage     []uint64 // position sets staged by the last wide replay
+	nstage    int
 	runPool   map[string]*dtd.Run
 }
 
 // Open ingests one document from r in a single pass and returns a live
 // session over it: the streaming checker fills the constraint indexes
-// while a tree builder consumes the same events and saves each element's
-// content-model checkpoint at its end tag. ck and v must come from the
-// same compiled specification. Invalid documents yield an
+// while a tree builder consumes the same events and indexes each wide
+// parent's children at its end tag. ck and v must come from the same
+// compiled specification. Invalid documents yield an
 // *InvalidDocumentError carrying the full report; malformed ones the
 // checker's parse error.
 func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.Reader) (*Session, error) {
-	sink := &openSink{states: make(map[*xmltree.Node]*dtd.State)}
+	s := &Session{
+		d:       v.DTD(),
+		v:       v,
+		wide:    make(map[*xmltree.Node]*kids),
+		runPool: make(map[string]*dtd.Run),
+	}
+	sink := &openSink{s: s}
 	rep, idxs, err := ck.RunRetainInto(ctx, r, sink)
 	if err != nil {
 		return nil, err
@@ -111,15 +122,9 @@ func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.
 	if !rep.OK() {
 		return nil, &InvalidDocumentError{Report: rep}
 	}
-	s := &Session{
-		d:       v.DTD(),
-		v:       v,
-		tree:    sink.Tree(),
-		idx:     idxs,
-		state:   sink.states,
-		elems:   rep.Elements,
-		runPool: make(map[string]*dtd.Run),
-	}
+	s.tree = sink.Tree()
+	s.idx = idxs
+	s.elems = rep.Elements
 	s.plan = buildPlan(idxs)
 	s.vals = make([]string, s.plan.maxAttrs)
 	s.touched = make([]int32, len(idxs.Entries))
@@ -129,26 +134,17 @@ func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.
 }
 
 // openSink is the tree-building consumer of Open's pass: it builds the
-// document tree and, at each end tag, saves the element's content-model
-// end state — the checkpoint that makes append-at-end edits O(1).
+// document tree and, at each end tag, indexes the element's children when
+// they are many.
 type openSink struct {
 	xmltree.Builder
-	states map[*xmltree.Node]*dtd.State
-	slab   []dtd.State
+	s *Session
 }
 
-func (o *openSink) End(run *dtd.Run) {
-	n := o.Builder.End()
-	if run == nil {
-		return // undeclared element type: the document is invalid anyway
+func (o *openSink) End() {
+	if n := o.Builder.End(); len(n.Children) > wideKids {
+		o.s.indexKids(n)
 	}
-	if len(o.slab) == 0 {
-		o.slab = make([]dtd.State, 256)
-	}
-	st := &o.slab[0]
-	o.slab = o.slab[1:]
-	run.SaveInto(st)
-	o.states[n] = st
 }
 
 // buildPlan derives the label dispatch table from the index entries.
@@ -183,47 +179,18 @@ func buildPlan(idxs *doccheck.Indexes) *plan {
 	return p
 }
 
-// checkpointSubtree walks an inserted subtree computing each element's
-// content-model end state (the automaton state after consuming all its
-// children), as Open's pass does for the ingested document.
-func (s *Session) checkpointSubtree(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	r := s.runFor(n.Label)
-	r.Reset()
-	for _, c := range n.Children {
-		r.Step(c.Label)
-	}
-	st := s.state[n]
-	if st == nil {
-		st = &dtd.State{}
-		s.state[n] = st
-	}
-	r.SaveInto(st)
-	for _, c := range n.Children {
-		s.checkpointSubtree(c)
-	}
-}
-
-// dropCheckpoints removes the per-element states of a detached subtree.
-func (s *Session) dropCheckpoints(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	delete(s.state, n)
-	for _, c := range n.Children {
-		s.dropCheckpoints(c)
-	}
-}
-
 // runFor returns the session's reusable Run for the label's content
-// model. Sessions are mutex-serialized, so one Run per label suffices.
+// model, nil for an undeclared label. Sessions are mutex-serialized, so
+// one Run per label suffices.
 func (s *Session) runFor(label string) *dtd.Run {
 	if r, ok := s.runPool[label]; ok {
 		return r
 	}
-	r := s.v.Automaton(label).Start()
+	a := s.v.Automaton(label)
+	if a == nil {
+		return nil
+	}
+	r := a.Start()
 	s.runPool[label] = r
 	return r
 }
@@ -270,7 +237,7 @@ func (s *Session) resolve(path string) (n, parent *xmltree.Node, slot int) {
 		if !ok {
 			return nil, nil, 0
 		}
-		child, childSlot := findChild(n, label, idx)
+		child, childSlot := s.child(n, label, idx)
 		if child == nil {
 			return nil, nil, 0
 		}
@@ -291,7 +258,9 @@ func nextSegment(path string) (seg, rest string) {
 	return path, ""
 }
 
-// splitIndex parses label[idx].
+// splitIndex parses label[idx]. An index too large for an int does not
+// parse: no element has that many siblings, and wrapping it would name
+// another one.
 //
 //xic:hotpath
 func splitIndex(seg string) (label string, idx int, ok bool) {
@@ -314,12 +283,37 @@ func splitIndex(seg string) (label string, idx int, ok bool) {
 		if c < '0' || c > '9' {
 			return "", 0, false
 		}
-		idx = idx*10 + int(c-'0')
+		d := int(c - '0')
+		if idx > (math.MaxInt-d)/10 {
+			return "", 0, false
+		}
+		idx = idx*10 + d
 	}
 	if open+1 == len(seg)-1 {
 		return "", 0, false
 	}
 	return seg[:open], idx, true
+}
+
+// child returns the idx-th child of n with the given label, and its slot
+// in the full child list: a kids-index lookup under a wide parent, a scan
+// under a narrow one.
+//
+//xic:hotpath
+func (s *Session) child(n *xmltree.Node, label string, idx int) (*xmltree.Node, int) {
+	if len(n.Children) <= wideKids {
+		return findChild(n, label, idx)
+	}
+	k := s.wide[n]
+	if k == nil {
+		return findChild(n, label, idx) // unreachable: wide parents are indexed
+	}
+	g := k.find(label)
+	if g < 0 || idx >= len(k.groups[g].slots) {
+		return nil, 0
+	}
+	slot := int(k.groups[g].slots[idx])
+	return n.Children[slot], slot
 }
 
 // findChild returns the idx-th child of n with the given label, and its
@@ -398,16 +392,4 @@ func hasAttr(attrs []string, a string) bool {
 		}
 	}
 	return false
-}
-
-// countElements returns the number of element nodes in the subtree.
-func countElements(n *xmltree.Node) int {
-	if n.IsText() {
-		return 0
-	}
-	c := 1
-	for _, ch := range n.Children {
-		c += countElements(ch)
-	}
-	return c
 }

@@ -2,6 +2,9 @@ package docsession
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -371,9 +374,9 @@ func TestNegatedConstraintsSessions(t *testing.T) {
 	revalidate(t, s, libDTD, sigma)
 }
 
-// TestAppendFastPath exercises the checkpointed append-at-end path: the
-// insert position equals the child count, so the content-model check
-// resumes from the retained automaton state.
+// TestAppendFastPath exercises appends at the end of the child list,
+// narrow and then wide: under a wide parent the content-model check
+// resumes from the position set after the last child.
 func TestAppendFastPath(t *testing.T) {
 	s := openLib(t, libDTD, libSigma, `<lib><grp id="a" tag="x"/></lib>`)
 	for i, id := range []string{"b", "c", "d"} {
@@ -390,6 +393,18 @@ func TestAppendFastPath(t *testing.T) {
 	if res := s.Apply(InsertSubtree("lib", 5, `<grp id="z" tag="x"/>`)); res.Rejected == nil {
 		t.Fatal("grp after ref accepted")
 	}
+	for i := 0; i < 2*wideKids; i++ {
+		if res := s.Apply(InsertSubtree("lib", 5+i, `<ref to="a"/>`)); res.Rejected != nil {
+			t.Fatalf("ref append %d rejected: %+v", i, res.Rejected)
+		}
+	}
+	if s.wide[s.tree.Root] == nil {
+		t.Fatal("lib outgrew the narrow bound but has no kids index")
+	}
+	if res := s.Apply(InsertSubtree("lib", 5+2*wideKids, `<grp id="z" tag="x"/>`)); res.Rejected == nil {
+		t.Fatal("grp after ref accepted under a wide parent")
+	}
+	checkKids(t, s)
 	revalidate(t, s, libDTD, libSigma)
 }
 
@@ -461,4 +476,271 @@ func TestDeepDocumentSerializesLinearly(t *testing.T) {
 		t.Fatalf("Document() of a %d-byte input is %d bytes", len(doc), len(out))
 	}
 	revalidate(t, s, d, "")
+}
+
+// checkKids compares every kids index of the session with one built from
+// scratch over the current tree, and checks that exactly the parents
+// with more than wideKids children have one.
+func checkKids(t *testing.T, s *Session) {
+	t.Helper()
+	fresh := &Session{v: s.v, wide: make(map[*xmltree.Node]*kids), runPool: make(map[string]*dtd.Run)}
+	wide := 0
+	walk(s.tree.Root, func(n *xmltree.Node) bool {
+		if len(n.Children) <= wideKids {
+			return true
+		}
+		wide++
+		fresh.indexKids(n)
+		got, want := s.wide[n], fresh.wide[n]
+		if got == nil || want == nil {
+			t.Fatalf("%s with %d children: kids index %v, rebuilt %v", n.Label, len(n.Children), got, want)
+		}
+		if !slices.Equal(got.sets, want.sets) {
+			t.Fatalf("%s: position sets %v, rebuilt %v", n.Label, got.sets, want.sets)
+		}
+		for _, g := range want.groups {
+			if i := got.find(g.label); i < 0 || !slices.Equal(got.groups[i].slots, g.slots) {
+				t.Fatalf("%s: slots of %s differ from rebuilt %v", n.Label, g.label, g.slots)
+			}
+		}
+		for _, g := range got.groups {
+			if len(g.slots) > 0 && want.find(g.label) < 0 {
+				t.Fatalf("%s: slots of %s %v, which it has no child of", n.Label, g.label, g.slots)
+			}
+		}
+		return true
+	})
+	if wide != len(s.wide) {
+		t.Fatalf("%d wide parents, %d kids indexes", wide, len(s.wide))
+	}
+}
+
+// TestPathIndexOverflowRejected: an index past the int range does not
+// resolve. Parsed with wrapping arithmetic, item[2^64] named item[0] and
+// the edit rewrote it.
+func TestPathIndexOverflowRejected(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<lib><grp id="a" tag="x"><item>one</item><item>two</item></grp><grp id="b" tag="y">`)
+	for i := 0; i < 2*wideKids; i++ {
+		fmt.Fprintf(&b, "<item>w%d</item>", i)
+	}
+	b.WriteString(`</grp></lib>`)
+	s := openLib(t, libDTD, libSigma, b.String())
+	before := s.Document()
+	for _, path := range []string{
+		"lib/grp[0]/item[18446744073709551616]", // 2^64
+		"lib/grp[0]/item[18446744073709551617]", // 2^64+1
+		"lib/grp[1]/item[18446744073709551616]", // under a wide parent
+		"lib/grp[1]/item[18446744073709551617]",
+		"lib/grp[18446744073709551616]/item[0]",
+	} {
+		for _, op := range []EditOp{SetText(path, "aliased"), DeleteSubtree(path), SetAttr(path, "id", "q")} {
+			res := s.Apply(op)
+			if res.Rejected == nil {
+				t.Fatalf("%s %s accepted", op.Kind, path)
+			}
+			if msg := res.Rejected.Report.Violations[0].Msg; !strings.Contains(msg, "does not resolve") {
+				t.Fatalf("%s %s: %q, want a path that does not resolve", op.Kind, path, msg)
+			}
+		}
+	}
+	if s.Document() != before {
+		t.Fatalf("rejected edits changed the document:\n%s", s.Document())
+	}
+}
+
+// TestWideEditsResumeReplay: a middle insert and a middle delete under a
+// parent of 10^4 children re-run its content model over at most two
+// symbols. Every symbol the replay steps either stages a changed
+// position set or meets the old run and ends the replay, so the staged
+// count plus one bounds the steps; a full replay steps all 10^4.
+func TestWideEditsResumeReplay(t *testing.T) {
+	const n = 10000
+	var b strings.Builder
+	b.WriteString("<lib>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<grp id="g%d" tag="x"/>`, i)
+	}
+	b.WriteString(`<ref to="g0"/></lib>`)
+	s := openLib(t, libDTD, libSigma, b.String())
+	if res := s.Apply(InsertSubtree("lib", n/2, `<grp id="mid" tag="x"/>`)); res.Rejected != nil {
+		t.Fatalf("middle insert rejected: %+v", res.Rejected)
+	}
+	if s.nstage > 1 {
+		t.Fatalf("middle insert staged %d position sets, want at most 1", s.nstage)
+	}
+	if res := s.Apply(DeleteSubtree(fmt.Sprintf("lib/grp[%d]", n/3))); res.Rejected != nil {
+		t.Fatalf("middle delete rejected: %+v", res.Rejected)
+	}
+	if s.nstage > 1 {
+		t.Fatalf("middle delete staged %d position sets, want at most 1", s.nstage)
+	}
+	// grp[n/2-1] is now the inserted one, and the grp before it g(n/2-1).
+	if res := s.Apply(SetAttr(fmt.Sprintf("lib/grp[%d]", n/2-2), "id", "moved")); res.Rejected != nil {
+		t.Fatalf("setattr after the edits rejected: %+v", res.Rejected)
+	}
+	if doc := s.Document(); !strings.Contains(doc, `<grp id="moved" tag="x"/>`+"\n"+`  <grp id="mid" tag="x"/>`) ||
+		strings.Contains(doc, fmt.Sprintf(`"g%d"`, n/2-1)) {
+		t.Fatal("slot lookup after the edits named the wrong grp")
+	}
+	checkKids(t, s)
+	revalidate(t, s, libDTD, libSigma)
+}
+
+// TestOpenAllocsPerElement bounds the heap objects an open allocates per
+// element on a ledger-shaped document, where one wide root holds 2000
+// narrow txn elements. The tree (an attribute map, a string per attribute
+// value and per text run, child slices) and the constraint indexes (a
+// string per indexed value) take about 5.1; keeping a content-model
+// checkpoint for every element took one more, 6.1.
+func TestOpenAllocsPerElement(t *testing.T) {
+	const dtdSrc = `
+<!ELEMENT ledger (acct+, txn*)>
+<!ELEMENT acct EMPTY>
+<!ATTLIST acct no CDATA #REQUIRED owner CDATA #REQUIRED>
+<!ELEMENT txn (memo?, amt)>
+<!ATTLIST txn tid CDATA #REQUIRED from CDATA #REQUIRED to CDATA #REQUIRED>
+<!ELEMENT memo (#PCDATA)>
+<!ELEMENT amt (#PCDATA)>
+`
+	const sigma = "txn.from => acct.no\ntxn.to <= acct.no\ntxn.tid -> txn"
+	var b strings.Builder
+	b.WriteString("<ledger>\n")
+	const accts, txns = 200, 2000
+	for i := 0; i < accts; i++ {
+		fmt.Fprintf(&b, "<acct no=\"a%d\" owner=\"o%d\"/>\n", i, i%37)
+	}
+	for i := 0; i < txns; i++ {
+		fmt.Fprintf(&b, "<txn tid=\"t%d\" from=\"a%d\" to=\"a%d\">", i, i%accts, (i*7)%accts)
+		if i%2 == 0 {
+			fmt.Fprintf(&b, "<memo>memo %d</memo>", i)
+		}
+		fmt.Fprintf(&b, "<amt>%d</amt></txn>\n", i*13%10000)
+	}
+	b.WriteString("</ledger>")
+	doc := b.String()
+	d, err := dtd.Parse(dtdSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := constraint.Parse(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := xmltree.NewValidator(d)
+	v.CompileAll()
+	ck := doccheck.New(d, v, cons)
+	var elems int
+	allocs := testing.AllocsPerRun(5, func() {
+		s, err := Open(context.Background(), ck, v, strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems = s.elems
+	})
+	if per := allocs / float64(elems); per > 5.6 {
+		t.Fatalf("Open allocates %.2f objects per element (%v for %d elements), want at most 5.6", per, allocs, elems)
+	}
+}
+
+// TestRejectionReportTuples pins which dangling tuples a rejection
+// reports, and in what order — by first position, then tuple — for a
+// dangling setattr, an insert carrying two distinct dangling refs (one of
+// them twice), and a delete of a grp two refs point at. The tuples are
+// read in each op's candidate index state and checked against a scan of
+// the whole inclusion index.
+func TestRejectionReportTuples(t *testing.T) {
+	const boxDTD = `
+<!ELEMENT lib (grp*, ref*, box*)>
+<!ELEMENT grp (item*)>
+<!ELEMENT item (#PCDATA)>
+<!ELEMENT ref EMPTY>
+<!ELEMENT box (ref*)>
+<!ATTLIST grp id CDATA #REQUIRED>
+<!ATTLIST grp tag CDATA #REQUIRED>
+<!ATTLIST ref to CDATA #REQUIRED>
+`
+	const doc = `<lib><grp id="a" tag="x"/><grp id="b" tag="y"/><ref to="b"/><ref to="a"/><ref to="b"/></lib>`
+	// Positions are byte offsets just past the start tag; the delete's
+	// tuple must carry its first ref's.
+	firstB := int64(strings.Index(doc, `<ref to="b"/>`) + len(`<ref to="b"/>`))
+	cases := []struct {
+		op     EditOp
+		tuples []string
+		check  func(v doccheck.Violation) bool
+	}{
+		{SetAttr("lib/ref[1]", "to", "nope"), []string{"nope"},
+			func(v doccheck.Violation) bool { return v.Offset == 0 }},
+		{InsertSubtree("lib", 5, `<box><ref to="zz"/><ref to="yy"/><ref to="zz"/></box>`), []string{"yy", "zz"},
+			func(v doccheck.Violation) bool { return v.Offset == 0 }},
+		{DeleteSubtree("lib/grp[1]"), []string{"b"},
+			func(v doccheck.Violation) bool { return v.Offset == firstB && v.Line == 1 }},
+	}
+	for _, c := range cases {
+		s := openLib(t, boxDTD, libSigma, doc)
+		in := s.idx.Entries[1].Incl
+		inCandidate(t, s, c.op, func() {
+			got := s.dangling(in)
+			var tuples []string
+			for _, m := range got {
+				tuples = append(tuples, m.t)
+			}
+			if !slices.Equal(tuples, c.tuples) {
+				t.Fatalf("%s: dangling tuples %q, want %q", c.op.Kind, tuples, c.tuples)
+			}
+			var all []miss
+			in.EachUnmatched(func(t string, first doccheck.SrcPos) { all = append(all, miss{t, first}) })
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].pos.Off != all[j].pos.Off {
+					return all[i].pos.Off < all[j].pos.Off
+				}
+				return all[i].t < all[j].t
+			})
+			if !slices.Equal(got, all) {
+				t.Fatalf("%s: undo-log scan %v, index scan %v", c.op.Kind, got, all)
+			}
+		})
+		res := s.Apply(c.op)
+		if res.Rejected == nil {
+			t.Fatalf("%s accepted", c.op.Kind)
+		}
+		vs := res.Rejected.Report.Violations
+		if len(vs) != len(c.tuples) {
+			t.Fatalf("%s: %d violations, want %d: %+v", c.op.Kind, len(vs), len(c.tuples), vs)
+		}
+		for _, v := range vs {
+			if v.Path != "ref" || v.Constraint == nil || !strings.Contains(v.Msg, "would match no grp element") || !c.check(v) {
+				t.Fatalf("%s: violation %+v", c.op.Kind, v)
+			}
+		}
+		if s.Document() != openLib(t, boxDTD, libSigma, doc).Document() {
+			t.Fatalf("%s: rejected edit changed the document", c.op.Kind)
+		}
+	}
+}
+
+// inCandidate runs f with the session's constraint indexes in op's
+// candidate state — the op's index mutations applied, as the rejection
+// builder sees them — and rolls them back afterwards.
+func inCandidate(t *testing.T, s *Session, op EditOp, f func()) {
+	t.Helper()
+	switch op.Kind {
+	case OpSetAttr:
+		if st := s.setAttrFast(&op); st != opConstraint {
+			t.Fatalf("setattr status %d, want a constraint violation", st)
+		}
+	case OpInsertSubtree:
+		sub, err := xmltree.ParseString(op.XML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.beginOp()
+		s.addSubtree(sub.Root)
+	case OpDeleteSubtree:
+		n, _, _ := s.resolve(op.Path)
+		s.beginOp()
+		s.removeSubtree(n)
+	}
+	f()
+	s.rollback()
 }

@@ -63,7 +63,7 @@ type Run struct {
 	a       *Automaton
 	cur     bitset
 	scratch bitset
-	n       int  // symbols consumed
+	started bool // at least one symbol consumed
 	dead    bool // no continuation can match
 }
 
@@ -75,7 +75,7 @@ func (a *Automaton) Start() *Run {
 // Reset rewinds the Run to the initial state so it can be reused for
 // another word, sparing an allocation per element on streaming hot paths.
 func (r *Run) Reset() {
-	r.n = 0
+	r.started = false
 	r.dead = false
 }
 
@@ -106,7 +106,7 @@ func (r *Run) Step(label string) bool {
 		r.dead = true
 		return false
 	}
-	if r.n == 0 {
+	if !r.started {
 		r.cur.intersectInto(r.a.first, pos)
 	} else {
 		r.scratch.clear()
@@ -119,7 +119,7 @@ func (r *Run) Step(label string) bool {
 		}
 		r.cur.intersectInto(r.scratch, pos)
 	}
-	r.n++
+	r.started = true
 	if r.cur.empty() {
 		r.dead = true
 		return false
@@ -132,7 +132,7 @@ func (r *Run) Accepting() bool {
 	if r.dead {
 		return false
 	}
-	if r.n == 0 {
+	if !r.started {
 		return r.a.nullable
 	}
 	return r.cur.intersects(r.a.last)

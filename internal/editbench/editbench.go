@@ -11,7 +11,7 @@
 //     checker — the O(document)-per-edit path a session replaces.
 //
 // The gap between the two series is exactly the revalidation work the
-// retained indexes and content-model checkpoints skip. The corpus is
+// retained constraint and kids indexes skip. The corpus is
 // constructed, not loaded: the documents are large (up to 1e5 element
 // nodes) and fully determined by the case parameters, so committing them
 // would be pure bloat.

@@ -10,8 +10,8 @@ import (
 
 // DefaultMaxSessions bounds a SessionStore when the caller passes no
 // limit. A live document session retains the parsed tree, the constraint
-// indexes and per-element automaton checkpoints — memory proportional to
-// the document — so the default is far below the spec tiers'.
+// indexes and the kids indexes of its wide parents — memory proportional
+// to the document — so the default is far below the spec tiers'.
 const DefaultMaxSessions = 64
 
 // DefaultSessionTTL is the idle lifetime of a session when the caller

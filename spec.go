@@ -407,12 +407,13 @@ func (s *Spec) ValidateStream(ctx context.Context, r io.Reader) (*Report, error)
 
 // OpenSession ingests one document from r — a single streaming validation
 // pass — and returns a live editing session over it: the parsed tree, the
-// per-constraint hash indexes and a per-element content-model checkpoint
-// are retained, so subsequent Session.Apply calls re-check each edit
-// against only the touched scopes, in O(edit) rather than O(document).
-// Every edit is transactional — accepted in full or rejected with a delta
-// report and a minimal repair hint — so the session's document is valid
-// at all times.
+// per-constraint hash indexes and, for each parent with more than a few
+// children, the children's slots by label and the content model's
+// position set after each child are retained, so subsequent Session.Apply
+// calls re-check each edit against only the touched scopes, in O(edit)
+// rather than O(document) or O(siblings). Every edit is transactional —
+// accepted in full or rejected with a delta report and a minimal repair
+// hint — so the session's document is valid at all times.
 //
 // Invalid documents yield an *InvalidDocumentError carrying the full
 // report; unparseable ones a *ParseError. The context bounds the
