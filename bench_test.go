@@ -42,6 +42,25 @@ func encodeAll(simp *dtd.Simplified, set []constraint.Constraint) (*cardinality.
 	return enc, nil
 }
 
+// consistentOnce and impliesOnce decide one instance with every per-DTD
+// step inside the call — DTD validation, simplification, the encoding —
+// as the general (not fixed-DTD) cells of Figure 5 count them.
+func consistentOnce(d *dtd.DTD, set []constraint.Constraint, opt *core.Options) (*core.Result, error) {
+	eng, err := core.NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker().ConsistentContext(context.Background(), set, opt)
+}
+
+func impliesOnce(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *core.Options) (*core.Implication, error) {
+	eng, err := core.NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker().ImpliesContext(context.Background(), sigma, phi, opt)
+}
+
 // ---- Figures 1–4 -----------------------------------------------------
 
 // BenchmarkFigure1Tree builds the Figure 1 document and validates it
@@ -98,7 +117,7 @@ func BenchmarkFigure3Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		imp, err := core.Implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
+		imp, err := impliesOnce(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +136,7 @@ func BenchmarkFigure4Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Consistent(spec.DTD, spec.Sigma, nil)
+		res, err := consistentOnce(spec.DTD, spec.Sigma, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +172,7 @@ func BenchmarkKeysConsistency(b *testing.B) {
 		opt := &core.Options{SkipWitness: true}
 		b.Run(fmt.Sprintf("keys-%d", len(keys)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, keys, opt)
+				res, err := consistentOnce(d, keys, opt)
 				if err != nil || !res.Consistent {
 					b.Fatalf("keys over chain: %v %v", res, err)
 				}
@@ -190,7 +209,7 @@ func BenchmarkUnaryConsistency(b *testing.B) {
 		good := randgen.TeacherFamilyConstraints(blocks, false)
 		b.Run(fmt.Sprintf("inconsistent-%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, bad, opt)
+				res, err := consistentOnce(d, bad, opt)
 				if err != nil || res.Consistent {
 					b.Fatalf("Σ1-family must be inconsistent: %v %v", res, err)
 				}
@@ -198,7 +217,7 @@ func BenchmarkUnaryConsistency(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("consistent-%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, good, opt)
+				res, err := consistentOnce(d, good, opt)
 				if err != nil || !res.Consistent {
 					b.Fatalf("keys-only family must be consistent: %v %v", res, err)
 				}
@@ -218,7 +237,7 @@ func BenchmarkPrimaryUnaryConsistency(b *testing.B) {
 	}
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, opt)
+		res, err := consistentOnce(d, set, opt)
 		if err != nil || res.Consistent {
 			b.Fatalf("restricted Σ1-family must stay inconsistent: %v %v", res, err)
 		}
@@ -237,7 +256,7 @@ not s2.id -> s2
 `)
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, opt)
+		res, err := consistentOnce(d, set, opt)
 		if err != nil || !res.Consistent {
 			b.Fatalf("negation set should be consistent: %v %v", res, err)
 		}
@@ -257,7 +276,7 @@ func BenchmarkUnaryImplication(b *testing.B) {
 		opt := &core.Options{SkipWitness: true}
 		b.Run(fmt.Sprintf("%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				imp, err := core.Implies(d, sigma, phi, opt)
+				imp, err := impliesOnce(d, sigma, phi, opt)
 				if err != nil || imp.Implied {
 					b.Fatalf("inclusion should not be implied: %v %v", imp, err)
 				}
@@ -272,17 +291,18 @@ func BenchmarkUnaryImplication(b *testing.B) {
 // fixed DTD with growing constraint sets.
 func BenchmarkFixedDTDConsistency(b *testing.B) {
 	d := randgen.WideDTD(4)
-	checker, err := core.NewChecker(d)
+	eng, err := core.NewEngine(d)
 	if err != nil {
 		b.Fatal(err)
 	}
+	checker := eng.NewChecker()
 	rng := rand.New(rand.NewSource(5))
 	opt := &core.Options{SkipWitness: true}
 	for _, k := range []int{4, 16, 64} {
 		set := randgen.RandUnarySet(rng, d, randgen.SetSpec{Keys: k / 2, Inclusions: k / 2})
 		b.Run(fmt.Sprintf("sigma-%d", len(set)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := checker.Consistent(set, opt); err != nil {
+				if _, err := checker.ConsistentContext(context.Background(), set, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,15 +314,16 @@ func BenchmarkFixedDTDConsistency(b *testing.B) {
 // (Corollary 5.5).
 func BenchmarkFixedDTDImplication(b *testing.B) {
 	d := randgen.WideDTD(4)
-	checker, err := core.NewChecker(d)
+	eng, err := core.NewEngine(d)
 	if err != nil {
 		b.Fatal(err)
 	}
+	checker := eng.NewChecker()
 	sigma := constraint.MustParse("s0.id <= s1.id\ns1.id <= s2.id")
 	phi := constraint.UnaryInclusion("s0", "id", "s2", "id")
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		imp, err := checker.Implies(sigma, phi, opt)
+		imp, err := checker.ImpliesContext(context.Background(), sigma, phi, opt)
 		if err != nil || !imp.Implied {
 			b.Fatalf("transitive inclusion must be implied: %v %v", imp, err)
 		}
@@ -368,7 +389,7 @@ func BenchmarkWitnessConstruction(b *testing.B) {
 	d := randgen.TeacherFamily(2)
 	set := randgen.TeacherFamilyConstraints(2, false)
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, nil)
+		res, err := consistentOnce(d, set, nil)
 		if err != nil || res.Witness == nil {
 			b.Fatalf("expected witness: %v %v", res, err)
 		}
@@ -398,7 +419,7 @@ func BenchmarkSpecServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec = spec.WithOptions(Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(WithSkipWitness())
 	rng := rand.New(rand.NewSource(3))
 	sets := make([][]Constraint, 64)
 	for i := range sets {
@@ -421,7 +442,7 @@ func BenchmarkSpecConsistentAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec = spec.WithOptions(Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(WithSkipWitness())
 	rng := rand.New(rand.NewSource(3))
 	sets := make([][]Constraint, 64)
 	for i := range sets {
@@ -449,7 +470,7 @@ func BenchmarkLIPGadgetConsistency(b *testing.B) {
 	}
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Consistent(spec.DTD, spec.Sigma, opt); err != nil {
+		if _, err := consistentOnce(spec.DTD, spec.Sigma, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,7 +492,7 @@ func BenchmarkRelationalVsXMLImplication(b *testing.B) {
 	phi := constraint.UnaryKey("a", "x")
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		imp, err := core.Implies(d, nil, phi, opt)
+		imp, err := impliesOnce(d, nil, phi, opt)
 		if err != nil || !imp.Implied {
 			b.Fatalf("structural implication must hold: %v %v", imp, err)
 		}
@@ -688,7 +709,7 @@ func BenchmarkSolve(b *testing.B) {
 		for _, c := range corpus {
 			b.Run(mode+"/"+c.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(opt); err != nil {
+					if _, err := c.Run(context.Background(), opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -729,7 +750,7 @@ func TestWriteSolveBench(t *testing.T) {
 	var totalRaw, totalPre time.Duration
 	for _, c := range corpus {
 		run := func(presolveOn bool) bool {
-			verdict, err := c.Run(solvebench.Options(presolveOn))
+			verdict, err := c.Run(context.Background(), solvebench.Options(presolveOn))
 			if err != nil {
 				t.Fatal(err)
 			}

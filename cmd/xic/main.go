@@ -187,7 +187,7 @@ func runCheck(args []string) (negative bool, err error) {
 	witnessPath := fs.String("witness", "", "write a witness document here when consistent (single set only)")
 	skipWitness := fs.Bool("skip-witness", false, "decision only, no witness construction")
 	maxNodes := fs.Int("max-solver-nodes", 0, "branch-and-bound node budget (0 = default)")
-	solverPar := fs.Int("solver-par", 0, "branch-and-bound worker goroutines (0 = serial)")
+	solverPar := fs.Int("solver-par", 0, "branch-and-bound workers (0 = one worker)")
 	exact := fs.Bool("exact", false, "force the exact big.Rat simplex kernel (skip the int64 fast tableau)")
 	timeout := fs.Duration("timeout", 0, "abort the NP search after this long (0 = no deadline)")
 	if err := fs.Parse(args); err != nil {
@@ -250,7 +250,7 @@ func runImply(args []string) (negative bool, err error) {
 	fs.Var(&consPaths, "constraints", "constraint file (Σ; repeat to test the query under several sets on one compiled schema)")
 	query := fs.String("query", "", "constraint φ to test, in constraint syntax")
 	cePath := fs.String("counterexample", "", "write a counterexample document here when not implied (single set only)")
-	solverPar := fs.Int("solver-par", 0, "branch-and-bound worker goroutines (0 = serial)")
+	solverPar := fs.Int("solver-par", 0, "branch-and-bound workers (0 = one worker)")
 	exact := fs.Bool("exact", false, "force the exact big.Rat simplex kernel (skip the int64 fast tableau)")
 	timeout := fs.Duration("timeout", 0, "abort the coNP search after this long (0 = no deadline)")
 	if err := fs.Parse(args); err != nil {

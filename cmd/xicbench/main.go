@@ -66,7 +66,7 @@ func check(d *dtd.DTD, set []xic.Constraint) bool {
 		fmt.Fprintln(os.Stderr, "xicbench:", err)
 		os.Exit(1)
 	}
-	res, err := spec.WithOptions(xic.Options{SkipWitness: true}).Consistent(context.Background())
+	res, err := spec.WithSolveOptions(xic.WithSkipWitness()).Consistent(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xicbench:", err)
 		os.Exit(1)
@@ -156,7 +156,7 @@ func figure5() {
 		// admits at most one c1 node (Lemma 3.7's occurrence test).
 		phi := constraint.UnaryKey("c1", "k")
 		var implied bool
-		dur := timeIt(func() { implied, _ = xic.ImpliesKey(d, keys, phi) })
+		dur := timeIt(func() { implied, _ = core.ImpliesKey(d, keys, phi) })
 		fmt.Printf("| implication, keys only | Thm 3.5(3), linear | chain DTD + keys | %d keys | implied=%v | %v |\n",
 			len(keys), implied, dur)
 	}
@@ -193,7 +193,7 @@ func figure5() {
 		if err != nil {
 			panic(err)
 		}
-		spec = spec.WithOptions(xic.Options{SkipWitness: true})
+		spec = spec.WithSolveOptions(xic.WithSkipWitness())
 		var imp *xic.Implication
 		dur := timeIt(func() {
 			var err error
@@ -213,7 +213,7 @@ func figure5() {
 	if err != nil {
 		panic(err)
 	}
-	compiled = compiled.WithOptions(xic.Options{SkipWitness: true})
+	compiled = compiled.WithSolveOptions(xic.WithSkipWitness())
 	rng := rand.New(rand.NewSource(99))
 	for _, k := range fixedSizes {
 		set := randgen.RandUnarySet(rng, d, randgen.SetSpec{Keys: k / 2, ForeignKeys: k / 4, Inclusions: k / 4})
@@ -260,7 +260,7 @@ func batchThroughput() {
 	if err != nil {
 		panic(err)
 	}
-	spec = spec.WithOptions(xic.Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(xic.WithSkipWitness())
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{16, 64}
@@ -349,7 +349,7 @@ func presolveAblation() {
 	}
 	for _, c := range corpus {
 		run := func(presolveOn bool) {
-			if _, err := c.Run(solvebench.Options(presolveOn)); err != nil {
+			if _, err := c.Run(context.Background(), solvebench.Options(presolveOn)); err != nil {
 				panic(err)
 			}
 		}
@@ -383,7 +383,7 @@ func fastTableauAblation() {
 	}
 	for _, c := range corpus {
 		run := func(fastOn bool) {
-			if _, err := c.Run(solvebench.FastOptions(fastOn)); err != nil {
+			if _, err := c.Run(context.Background(), solvebench.FastOptions(fastOn)); err != nil {
 				panic(err)
 			}
 		}
@@ -446,7 +446,11 @@ func gadgets() {
 		}
 		var res *core.Result
 		dur := timeIt(func() {
-			res, err = core.Consistent(spec.DTD, spec.Sigma, &core.Options{SkipWitness: true})
+			eng, err := core.NewEngine(spec.DTD)
+			if err != nil {
+				panic(err)
+			}
+			res, err = eng.NewChecker().ConsistentContext(context.Background(), spec.Sigma, &core.Options{SkipWitness: true})
 			if err != nil {
 				panic(err)
 			}

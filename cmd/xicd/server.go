@@ -143,35 +143,18 @@ func newServer(cfg config) *server {
 			"entries": total.Entries,
 		}
 	}))
-	// The solver hit/shrink counters, summed over every cached Spec: how
+	// The solver hit/shrink counters, summed over every Spec the registry
+	// has cached, evicted ones included, so no counter goes backwards: how
 	// many ILP-oracle calls presolve answered outright, how many it handed
 	// to the search unreduced because its int64 arithmetic overflowed
-	// (presolve_bailed), how many the no-branching fast path answered, how much the systems shrank before
-	// any simplex pivot ran, and how the pivots split between the int64
-	// fast tableau and the exact big.Rat kernel. Evicted Specs take their
-	// counts with them, so these are counters over the live cache, not
-	// process history. The nested "options" map states the SolveOptions
-	// the server applies when a request carries no overrides
-	// (solver_parallelism 0 = serial search per check).
+	// (presolve_bailed), how many the no-branching fast path answered, how
+	// much the systems shrank before any simplex pivot ran, and how the
+	// pivots split between the int64 fast tableau and the exact big.Rat
+	// kernel. The nested "options" map states the SolveOptions the server
+	// applies when a request carries no overrides (solver_parallelism 0 =
+	// one search worker per check).
 	s.vars.Set("solve", expvar.Func(func() any {
-		var total xic.SolveStats
-		for _, e := range s.reg.Entries() {
-			st := e.Spec.SolveStats()
-			total.Solves += st.Solves
-			total.PresolveDecided += st.PresolveDecided
-			total.PresolveBailed += st.PresolveBailed
-			total.FastPath += st.FastPath
-			total.Nodes += st.Nodes
-			total.Pivots += st.Pivots
-			total.FastPivots += st.FastPivots
-			total.ExactFallbacks += st.ExactFallbacks
-			total.Steals += st.Steals
-			total.Cuts += st.Cuts
-			total.PresolveRows += st.PresolveRows
-			total.PresolveRowsOut += st.PresolveRowsOut
-			total.VarsFixed += st.VarsFixed
-			total.ImplicationsResolved += st.ImplicationsResolved
-		}
+		total := s.reg.SolveStats()
 		return map[string]any{
 			"solves":                total.Solves,
 			"presolve_decided":      total.PresolveDecided,
@@ -182,7 +165,6 @@ func newServer(cfg config) *server {
 			"fast_pivots":           total.FastPivots,
 			"exact_fallbacks":       total.ExactFallbacks,
 			"steals":                total.Steals,
-			"cuts":                  total.Cuts,
 			"presolve_rows_in":      total.PresolveRows,
 			"presolve_rows_out":     total.PresolveRowsOut,
 			"vars_fixed":            total.VarsFixed,

@@ -829,7 +829,6 @@ func TestSolverRequestOptions(t *testing.T) {
 			FastPivots     uint64 `json:"fast_pivots"`
 			ExactFallbacks uint64 `json:"exact_fallbacks"`
 			Steals         uint64 `json:"steals"`
-			Cuts           uint64 `json:"cuts"`
 			Options        struct {
 				MaxNodes          int  `json:"max_nodes"`
 				SolverParallelism int  `json:"solver_parallelism"`
@@ -845,6 +844,37 @@ func TestSolverRequestOptions(t *testing.T) {
 	o := vars.Solve.Options
 	if o.MaxNodes != xic.DefaultMaxNodes || o.SolverParallelism != 0 || !o.Presolve || !o.FastTableau || o.SkipWitness {
 		t.Errorf("effective options = %+v", o)
+	}
+}
+
+// TestSolveCountersSurviveEviction: the /debug/vars solver counters are
+// process totals, so a spec evicted from the registry keeps its counts.
+func TestSolveCountersSurviveEviction(t *testing.T) {
+	h := newTestServer(t, config{MaxSpecs: 1}).handler()
+	solves := func() uint64 {
+		t.Helper()
+		w := do(t, h, "GET", "/debug/vars", "")
+		return decode[struct {
+			Solve struct {
+				Solves uint64 `json:"solves"`
+			} `json:"solve"`
+		}](t, w).Solve.Solves
+	}
+
+	a := compileSpec(t, h, teachersDTD, teachersXIC)
+	if w := do(t, h, "POST", "/v1/specs/"+a+"/consistent", `{"skip_witness": true}`); w.Code != http.StatusOK {
+		t.Fatalf("consistent: status %d: %s", w.Code, w.Body)
+	}
+	before := solves()
+	if before == 0 {
+		t.Fatal("a consistency check reached the solver but solve.solves is 0")
+	}
+	compileSpec(t, h, dbDTD, dbXIC) // evicts a from the one-entry spec tier
+	if w := do(t, h, "GET", "/v1/specs/"+a, ""); w.Code != http.StatusNotFound {
+		t.Fatalf("spec a was not evicted: status %d", w.Code)
+	}
+	if after := solves(); after < before {
+		t.Errorf("solve.solves fell from %d to %d when spec a was evicted", before, after)
 	}
 }
 

@@ -84,7 +84,7 @@ subject.taught_by => teacher.name
 	// specification. Static analysis can: Σ1 is unsatisfiable over D1, so
 	// *every* document will fail — repeated validation failures are the
 	// specification's fault.
-	res, err := spec1.WithOptions(xic.Options{SkipWitness: true}).Consistent(ctx)
+	res, err := spec1.WithSolveOptions(xic.WithSkipWitness()).Consistent(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,9 +6,7 @@
 //     inside library code, which silently severs the caller's cancellation
 //     chain. The one sanctioned shape is the nil-guard
 //     `if ctx == nil { ctx = context.Background() }`, which preserves a
-//     caller-supplied context and only fills a documented nil; functions
-//     whose doc comment marks them "Deprecated:" are also exempt, covering
-//     the frozen pre-Schema/Spec wrappers in xic.go.
+//     caller-supplied context and only fills a documented nil.
 //
 //   - dropping a context that is in scope: calling f(...) from a function
 //     that has a ctx parameter when an fContext(ctx, ...) sibling exists.
@@ -113,9 +111,6 @@ func (c *ctxflow) run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if isDeprecated(fd.Doc) {
-				continue
-			}
 			if pass.InTestFile(fd.Pos()) {
 				// Tests are the root of their own cancellation chain:
 				// manufacturing a context there is the invariant working,
@@ -126,20 +121,6 @@ func (c *ctxflow) run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isDeprecated reports whether a doc comment carries a standard
-// "Deprecated:" marker.
-func isDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), " "), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 type span struct{ lo, hi ast.Node }

@@ -14,9 +14,12 @@ func (c *Checker) SolveContext(ctx context.Context, n int) error {
 	return nil
 }
 
+// Solve is the ctx-free variant. A deprecation notice earns no exemption:
+// filling in a context here still severs the chain.
+//
 // Deprecated: use SolveContext.
 func (c *Checker) Solve(n int) error {
-	return c.SolveContext(context.Background(), n)
+	return c.SolveContext(context.Background(), n) // want "severs the caller's cancellation chain"
 }
 
 // RunContext is the package-level ctx-taking variant.
@@ -30,7 +33,7 @@ func RunContext(ctx context.Context, n int) error {
 //
 // Deprecated: use RunContext.
 func Run(n int) error {
-	return RunContext(context.Background(), n)
+	return RunContext(context.Background(), n) // want "severs the caller's cancellation chain"
 }
 
 func Manufactured() context.Context {

@@ -107,10 +107,12 @@ func Naked(s string) (err error) {
 	return // want "error from strconv.Atoi escapes"
 }
 
+// OldRaw predates the taxonomy. A deprecation notice earns no exemption.
+//
 // Deprecated: predates the taxonomy.
 func OldRaw(s string) error {
 	_, err := strconv.Atoi(s)
-	return err
+	return err // want "error from strconv.Atoi escapes"
 }
 
 func Suppressed(s string) error {

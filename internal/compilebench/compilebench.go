@@ -137,7 +137,7 @@ func (c Case) Warm(ctx context.Context, schema *xic.Schema) error {
 
 // check runs the case's serving-path work against a bound Spec.
 func (c Case) check(ctx context.Context, spec *xic.Spec) error {
-	spec = spec.WithOptions(xic.Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(xic.WithSkipWitness())
 	ran := false
 	for _, q := range c.Queries {
 		phi, err := constraint.ParseOne(q)

@@ -287,7 +287,7 @@ func TestDecisionAgainstBruteForce(t *testing.T) {
 		if err := d.Check(); err != nil {
 			t.Fatalf("random DTD invalid: %v\n%s", err, d)
 		}
-		res, err := Consistent(d, set, &Options{Solver: ilp.Options{MaxNodes: 1500}})
+		res, err := consistent(d, set, &Options{Solver: ilp.Options{MaxNodes: 1500}})
 		if errors.Is(err, ilp.ErrNodeLimit) {
 			skipped++
 			continue
@@ -298,7 +298,7 @@ func TestDecisionAgainstBruteForce(t *testing.T) {
 		// Presolve soundness: the raw search on the unreduced system must
 		// reach the same verdict as the presolved pipeline on every
 		// instance before either is compared to ground truth.
-		raw, err := Consistent(d, set, &Options{
+		raw, err := consistent(d, set, &Options{
 			Solver:      ilp.Options{MaxNodes: 1500, DisablePresolve: true},
 			SkipWitness: true,
 		})

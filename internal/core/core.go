@@ -14,16 +14,17 @@
 //     (Theorems 4.10 and 5.4).
 //
 // Multi-attribute sets mixing keys with foreign keys are undecidable
-// (Theorem 3.1); Consistent reports ErrUndecidable for them. For a fixed
-// DTD the number of encoding variables is a constant, so consistency and
-// implication run in polynomial time in |Σ| (Corollaries 4.11 and 5.5);
-// Engine and Checker split that setting into two stages: an Engine
-// validates and simplifies the DTD once and builds the cardinality-encoding
-// template Ψ_{D_N} once, and each Checker bound to it (Engine.NewChecker)
-// serves any number of checks — concurrently — by cloning the template per
-// request while keeping its own solver counters. All lazy state is guarded
-// by sync.Once; Engines and Checkers are safe for use from multiple
-// goroutines.
+// (Theorem 3.1); ConsistentContext reports ErrUndecidable for them. For a
+// fixed DTD the number of encoding variables is a constant, so consistency
+// and implication run in polynomial time in |Σ| (Corollaries 4.11 and
+// 5.5). Every check runs in that setting, in two stages: NewEngine
+// validates the DTD, and the Engine simplifies it and builds the
+// cardinality-encoding template Ψ_{D_N} once; each Checker bound to it
+// (Engine.NewChecker) serves any number of checks — concurrently — through
+// its ConsistentContext, ImpliesContext and DiagnoseContext methods,
+// cloning the template per request while keeping its own solver counters.
+// All lazy state is guarded by sync.Once; Engines and Checkers are safe
+// for use from multiple goroutines.
 //
 // Every NP-class procedure takes a context.Context, plumbed into the ILP
 // branch-and-bound search and the witness construction, so deadlines and
@@ -77,8 +78,7 @@ func wrapCanceled(err error) error {
 	return err
 }
 
-// orBackground guards against nil contexts so that the ctx-free facade can
-// delegate without allocating one per call site.
+// orBackground lets callers pass a nil context, which never cancels.
 func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
 		return context.Background()
@@ -128,31 +128,6 @@ func ConsistentDTD(d *dtd.DTD) bool {
 	return d.HasValidTree()
 }
 
-// Consistent decides the consistency problem for a DTD and constraint set,
-// dispatching on the constraint class:
-//
-//   - keys only (C_K, multi-attribute allowed): linear-time decision
-//     (Theorem 3.5(2));
-//   - unary classes up to C^Unary_{K¬,IC¬}: the NP procedures of
-//     Sections 4–5;
-//   - multi-attribute sets with foreign keys or inclusions: ErrUndecidable.
-//
-// Consistent redoes the per-DTD work on every call; use a Checker (or the
-// public xic.Spec) when checking many sets against one DTD.
-func Consistent(d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Result, error) {
-	return ConsistentContext(nil, d, set, opt) // nil-guarded by orBackground
-}
-
-// ConsistentContext is Consistent under a context: cancellation aborts the
-// NP search and witness construction with an error matching ErrCanceled.
-func ConsistentContext(ctx context.Context, d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Result, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
-	}
-	c := ephemeralChecker(d)
-	return c.consistentChecked(orBackground(ctx), set, opt)
-}
-
 // Engine is the compiled per-DTD artifact of the two-stage API: DTD
 // validation, Section 4.1 simplification and the Ψ_{D_N} encoding template,
 // each built at most once (guarded by sync.Once) and never mutated
@@ -184,9 +159,6 @@ func NewEngine(d *dtd.DTD) (*Engine, error) {
 	}
 	return &Engine{d: d}, nil
 }
-
-// DTD returns the engine's DTD.
-func (e *Engine) DTD() *dtd.DTD { return e.d }
 
 // Precompile forces the lazy per-DTD work — simplification and the
 // cardinality-encoding template — so that Checkers bound to this engine pay
@@ -232,11 +204,6 @@ func (e *Engine) template() (*cardinality.Encoding, error) {
 type Checker struct {
 	eng *Engine
 
-	// ephemeral marks throwaway checkers behind the one-shot package-level
-	// entry points: encoding once-and-clone would cost more than just
-	// encoding, so template() builds fresh instead of caching.
-	ephemeral bool
-
 	stats solveCounters
 }
 
@@ -253,7 +220,6 @@ type solveCounters struct {
 	fastPivots      atomic.Uint64
 	exactFallbacks  atomic.Uint64
 	steals          atomic.Uint64
-	cuts            atomic.Uint64
 	presolveRows    atomic.Uint64
 	presolveRowsOut atomic.Uint64
 	varsFixed       atomic.Uint64
@@ -287,11 +253,9 @@ type SolveStats struct {
 	// ExactFallbacks counts LP solves whose fast tableau overflowed and
 	// were redone on the exact big.Rat kernel.
 	ExactFallbacks uint64
-	// Steals counts subproblems parallel branch-and-bound workers took
-	// from a sibling's deque; 0 under serial solves.
+	// Steals counts subproblems branch-and-bound workers took from a
+	// sibling's deque; 0 with one worker.
 	Steals uint64
-	// Cuts totals Chvátal–Gomory cutting planes presolve added at roots.
-	Cuts uint64
 	// PresolveRows / PresolveRowsOut total constraint rows entering and
 	// leaving presolve; their gap is how much the systems shrank.
 	PresolveRows    uint64
@@ -315,7 +279,6 @@ func (c *Checker) SolveStats() SolveStats {
 		FastPivots:           c.stats.fastPivots.Load(),
 		ExactFallbacks:       c.stats.exactFallbacks.Load(),
 		Steals:               c.stats.steals.Load(),
-		Cuts:                 c.stats.cuts.Load(),
 		PresolveRows:         c.stats.presolveRows.Load(),
 		PresolveRowsOut:      c.stats.presolveRowsOut.Load(),
 		VarsFixed:            c.stats.varsFixed.Load(),
@@ -346,7 +309,6 @@ func (c *Checker) recordSolve(res *ilp.Result) {
 	if p.Bailed {
 		c.stats.presolveBailed.Add(1)
 	}
-	c.stats.cuts.Add(uint64(p.Cuts))
 	c.stats.presolveRows.Add(uint64(p.Rows))
 	c.stats.presolveRowsOut.Add(uint64(p.RowsOut))
 	c.stats.varsFixed.Add(uint64(p.VarsFixed))
@@ -355,54 +317,17 @@ func (c *Checker) recordSolve(res *ilp.Result) {
 	}
 }
 
-// NewChecker validates the DTD once; simplification and the encoding
-// template are built lazily on the first NP-class check (or eagerly via
-// Precompile). The Checker owns a private Engine; use NewEngine plus
-// Engine.NewChecker to share the compiled state across several Checkers.
-func NewChecker(d *dtd.DTD) (*Checker, error) {
-	eng, err := NewEngine(d)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{eng: eng}, nil
-}
-
-// ephemeralChecker wraps an already-validated DTD for the one-shot
-// package-level entry points.
-func ephemeralChecker(d *dtd.DTD) *Checker {
-	return &Checker{eng: &Engine{d: d}, ephemeral: true}
-}
-
-// DTD returns the checker's DTD.
-func (c *Checker) DTD() *dtd.DTD { return c.eng.d }
-
-// Engine returns the compiled per-DTD engine the checker is bound to.
-func (c *Checker) Engine() *Engine { return c.eng }
-
-// Precompile forces the lazy per-DTD work — simplification and the
-// cardinality-encoding template — so that later checks pay only per-request
-// cost. It is idempotent and safe to call concurrently.
-func (c *Checker) Precompile() error {
-	return c.eng.Precompile()
-}
-
-// template returns a private clone of the compiled Ψ_{D_N} encoding.
-// Ephemeral checkers skip the engine cache and hand out a fresh encoding
-// directly: encoding once-and-clone would cost more than just encoding.
-func (c *Checker) template() (*cardinality.Encoding, error) {
-	if c.ephemeral {
-		return cardinality.EncodeDTD(c.eng.simplified())
-	}
-	return c.eng.template()
-}
-
-// Consistent is Consistent against the fixed DTD.
-func (c *Checker) Consistent(set []constraint.Constraint, opt *Options) (*Result, error) {
-	return c.ConsistentContext(nil, set, opt) // nil-guarded by orBackground
-}
-
-// ConsistentContext is Consistent under a context; see ConsistentContext at
-// package level for cancellation semantics.
+// ConsistentContext decides the consistency problem for the fixed DTD and
+// a constraint set, dispatching on the constraint class:
+//
+//   - keys only (C_K, multi-attribute allowed): linear-time decision
+//     (Theorem 3.5(2));
+//   - unary classes up to C^Unary_{K¬,IC¬}: the NP procedures of
+//     Sections 4–5;
+//   - multi-attribute sets with foreign keys or inclusions: ErrUndecidable.
+//
+// Cancellation aborts the NP search and witness construction with an
+// error matching ErrCanceled. A nil context never cancels.
 func (c *Checker) ConsistentContext(ctx context.Context, set []constraint.Constraint, opt *Options) (*Result, error) {
 	return c.consistentChecked(orBackground(ctx), set, opt)
 }
@@ -421,7 +346,7 @@ func (c *Checker) consistentChecked(ctx context.Context, set []constraint.Constr
 	case constraint.ClassKFK, constraint.ClassOther:
 		return nil, fmt.Errorf("%w (set is in %s)", ErrUndecidable, class)
 	}
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +393,7 @@ func (c *Checker) consistentKeysOnly(ctx context.Context, set []constraint.Const
 // buildSkeleton constructs some tree conforming to the DTD via the
 // unconstrained encoding.
 func (c *Checker) buildSkeleton(ctx context.Context, opt *Options) (*xmltree.Tree, error) {
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,6 +11,41 @@ import (
 	"xic/internal/presolve"
 	"xic/internal/xmltree"
 )
+
+// checker compiles an Engine for d and binds a Checker to it, as every
+// caller of the package does; an invalid DTD fails at NewEngine.
+func checker(d *dtd.DTD) (*Checker, error) {
+	eng, err := NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker(), nil
+}
+
+// consistent, implies and diagnose run one check on a fresh Checker for d.
+func consistent(d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Result, error) {
+	c, err := checker(d)
+	if err != nil {
+		return nil, err
+	}
+	return c.ConsistentContext(context.Background(), set, opt)
+}
+
+func implies(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
+	c, err := checker(d)
+	if err != nil {
+		return nil, err
+	}
+	return c.ImpliesContext(context.Background(), sigma, phi, opt)
+}
+
+func diagnose(d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Diagnosis, error) {
+	c, err := checker(d)
+	if err != nil {
+		return nil, err
+	}
+	return c.DiagnoseContext(context.Background(), set, opt)
+}
 
 func TestConsistentDTD(t *testing.T) {
 	if !ConsistentDTD(dtd.Teachers()) {
@@ -25,7 +61,7 @@ func TestConsistentDTD(t *testing.T) {
 
 func TestSigma1Inconsistent(t *testing.T) {
 	// The paper's headline example: Σ1 over D1 is inconsistent.
-	res, err := Consistent(dtd.Teachers(), constraint.Sigma1(), nil)
+	res, err := consistent(dtd.Teachers(), constraint.Sigma1(), nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -43,7 +79,7 @@ func TestSigma1WithoutForeignKeyConsistent(t *testing.T) {
 teacher.name -> teacher
 subject.taught_by -> subject
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -69,7 +105,7 @@ teacher.name -> teacher
 subject.taught_by -> subject
 teacher.name => subject.taught_by
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -83,7 +119,7 @@ func TestKeysOnlyMultiAttribute(t *testing.T) {
 course(dept, course_no) -> course
 student(student_id) -> student
 `)
-	res, err := Consistent(dtd.School(), set, nil)
+	res, err := consistent(dtd.School(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -107,7 +143,7 @@ func TestKeysOnlyOverEmptyDTD(t *testing.T) {
 <!ELEMENT foo (foo)>
 <!ATTLIST foo k CDATA #REQUIRED>
 `)
-	res, err := Consistent(d, constraint.MustParse("foo.k -> foo"), nil)
+	res, err := consistent(d, constraint.MustParse("foo.k -> foo"), nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -117,7 +153,7 @@ func TestKeysOnlyOverEmptyDTD(t *testing.T) {
 }
 
 func TestUndecidableClassRejected(t *testing.T) {
-	_, err := Consistent(dtd.School(), constraint.Sigma3(), nil)
+	_, err := consistent(dtd.School(), constraint.Sigma3(), nil)
 	if !errors.Is(err, ErrUndecidable) {
 		t.Errorf("Σ3 (multi-attribute keys + foreign keys) should report ErrUndecidable, got %v", err)
 	}
@@ -128,7 +164,7 @@ func TestFullClassWithNegations(t *testing.T) {
 teacher.name -> teacher
 not subject.taught_by <= teacher.name
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -147,7 +183,7 @@ not subject.taught_by <= teacher.name
 }
 
 func TestSkipWitness(t *testing.T) {
-	res, err := Consistent(dtd.Teachers(), nil, &Options{SkipWitness: true})
+	res, err := consistent(dtd.Teachers(), nil, &Options{SkipWitness: true})
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -158,16 +194,16 @@ func TestSkipWitness(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	bad := dtd.New("r") // root not declared
-	if _, err := Consistent(bad, nil, nil); err == nil {
+	if _, err := consistent(bad, nil, nil); err == nil {
 		t.Error("invalid DTD accepted")
 	}
-	if _, err := Consistent(dtd.Teachers(), constraint.MustParse("ghost.x -> ghost"), nil); err == nil {
+	if _, err := consistent(dtd.Teachers(), constraint.MustParse("ghost.x -> ghost"), nil); err == nil {
 		t.Error("constraints over undeclared types accepted")
 	}
 }
 
 func TestCheckerReuse(t *testing.T) {
-	c, err := NewChecker(dtd.Teachers())
+	c, err := checker(dtd.Teachers())
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}
@@ -178,7 +214,7 @@ func TestCheckerReuse(t *testing.T) {
 	}
 	wantConsistent := []bool{true, true, false}
 	for i, src := range sets {
-		res, err := c.Consistent(constraint.MustParse(src), &Options{SkipWitness: true})
+		res, err := c.ConsistentContext(context.Background(), constraint.MustParse(src), &Options{SkipWitness: true})
 		if err != nil {
 			t.Fatalf("checker run %d: %v", i, err)
 		}
@@ -194,7 +230,7 @@ func TestPrimaryKeyRestrictionHelper(t *testing.T) {
 	}
 	// Consistency is NP-complete even under the restriction (Cor 4.8); the
 	// dispatcher treats restricted sets identically.
-	res, err := Consistent(dtd.Teachers(), constraint.Sigma1(), &Options{SkipWitness: true})
+	res, err := consistent(dtd.Teachers(), constraint.Sigma1(), &Options{SkipWitness: true})
 	if err != nil || res.Consistent {
 		t.Errorf("restricted Σ1 should stay inconsistent (err=%v)", err)
 	}

@@ -22,35 +22,17 @@ type Implication struct {
 	Counterexample *xmltree.Tree
 }
 
-// Implies decides the implication problem (D,Σ) ⊢ φ: does every tree
-// conforming to D and satisfying Σ also satisfy φ?
+// ImpliesContext decides the implication problem (D,Σ) ⊢ φ for the fixed
+// DTD: does every tree conforming to D and satisfying Σ also satisfy φ?
 //
 //   - Σ and φ keys only: linear time (Theorem 3.5(3), Lemma 3.7);
 //   - unary Σ and unary φ (key, inclusion or foreign key): coNP, by
 //     checking consistency of Σ ∧ ¬φ (Theorems 4.10 and 5.4); a foreign
 //     key is implied iff both its key and its inclusion part are;
 //   - anything else multi-attribute: ErrUndecidable (Corollary 3.4).
-func Implies(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	return ImpliesContext(nil, d, sigma, phi, opt) // nil-guarded by orBackground
-}
-
-// ImpliesContext is Implies under a context: cancellation aborts the coNP
-// refutation search with an error matching ErrCanceled.
-func ImpliesContext(ctx context.Context, d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
-	}
-	c := ephemeralChecker(d)
-	return c.ImpliesContext(ctx, sigma, phi, opt)
-}
-
-// Implies is Implies against the fixed DTD (Corollary 5.5's PTIME setting).
-func (c *Checker) Implies(sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	return c.ImpliesContext(nil, sigma, phi, opt) // nil-guarded by orBackground
-}
-
-// ImpliesContext is Implies under a context; see ImpliesContext at package
-// level for cancellation semantics.
+//
+// Cancellation aborts the coNP refutation search with an error matching
+// ErrCanceled. For a fixed DTD this is Corollary 5.5's PTIME setting.
 func (c *Checker) ImpliesContext(ctx context.Context, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
 	ctx = orBackground(ctx)
 	if err := wrapCanceled(ctx.Err()); err != nil {
@@ -157,7 +139,7 @@ func (c *Checker) impliesKeyByKeys(ctx context.Context, sigma []constraint.Const
 	}
 
 	// Build a tree with at least two φ-type nodes.
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestImplicationAgainstBruteForce(t *testing.T) {
 		if phi.Validate(d) != nil || constraint.ValidateSet(d, sigma) != nil {
 			continue
 		}
-		imp, err := Implies(d, sigma, phi, &Options{Solver: ilp.Options{MaxNodes: 1500}})
+		imp, err := implies(d, sigma, phi, &Options{Solver: ilp.Options{MaxNodes: 1500}})
 		if errors.Is(err, ilp.ErrNodeLimit) {
 			continue
 		}
@@ -43,7 +43,7 @@ func TestImplicationAgainstBruteForce(t *testing.T) {
 		}
 		// Presolve soundness on the coNP path: the raw refutation search
 		// must agree with the presolved pipeline.
-		raw, err := Implies(d, sigma, phi, &Options{
+		raw, err := implies(d, sigma, phi, &Options{
 			Solver:      ilp.Options{MaxNodes: 1500, DisablePresolve: true},
 			SkipWitness: true,
 		})

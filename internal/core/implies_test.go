@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"xic/internal/constraint"
@@ -67,7 +68,7 @@ func TestImpliesKeyCounterexample(t *testing.T) {
 	d := dtd.School()
 	sigma := constraint.MustParse("course(dept, course_no) -> course")
 	phi := constraint.Key{Type: "course", Attrs: []string{"dept"}}
-	imp, err := Implies(d, sigma, phi, nil)
+	imp, err := implies(d, sigma, phi, nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestImpliesUnaryKeyViaStructure(t *testing.T) {
 <!ATTLIST a x CDATA #REQUIRED>
 <!ATTLIST b y CDATA #REQUIRED>
 `)
-	imp, err := Implies(d, nil, constraint.UnaryKey("a", "x"), nil)
+	imp, err := implies(d, nil, constraint.UnaryKey("a", "x"), nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestImpliesUnaryKeyViaStructure(t *testing.T) {
 		t.Error("a.x → a is vacuously implied when |ext(a)| ≤ 1")
 	}
 
-	imp, err = Implies(d, nil, constraint.UnaryKey("b", "y"), nil)
+	imp, err = implies(d, nil, constraint.UnaryKey("b", "y"), nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestImpliesInclusion(t *testing.T) {
 `)
 	sigma := constraint.MustParse("a.x <= b.y\nb.y <= c.z")
 	phi := constraint.UnaryInclusion("a", "x", "c", "z")
-	imp, err := Implies(d, sigma, phi, nil)
+	imp, err := implies(d, sigma, phi, nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestImpliesInclusion(t *testing.T) {
 
 	// The reverse is not implied; the counterexample must violate it.
 	rev := constraint.UnaryInclusion("c", "z", "a", "x")
-	imp, err = Implies(d, sigma, rev, nil)
+	imp, err = implies(d, sigma, rev, nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestImpliesForeignKey(t *testing.T) {
 	// Σ asserts the foreign key itself: trivially implied.
 	sigma := constraint.MustParse("a.x => b.y")
 	phi := constraint.UnaryForeignKey("a", "x", "b", "y")
-	imp, err := Implies(d, sigma, phi, nil)
+	imp, err := implies(d, sigma, phi, nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -185,7 +186,7 @@ func TestImpliesForeignKey(t *testing.T) {
 
 	// Only the inclusion, not the key: the FK is not implied.
 	sigma2 := constraint.MustParse("a.x <= b.y")
-	imp, err = Implies(d, sigma2, phi, nil)
+	imp, err = implies(d, sigma2, phi, nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
 	}
@@ -195,12 +196,12 @@ func TestImpliesForeignKey(t *testing.T) {
 }
 
 func TestInconsistentSigmaImpliesEverything(t *testing.T) {
-	imp, err := Implies(dtd.Teachers(), constraint.Sigma1(), constraint.UnaryKey("research", "x"), nil)
+	imp, err := implies(dtd.Teachers(), constraint.Sigma1(), constraint.UnaryKey("research", "x"), nil)
 	if err == nil {
 		// research has no attribute x; expect a validation error instead.
 		t.Fatalf("expected validation error, got %+v", imp)
 	}
-	imp, err = Implies(dtd.Teachers(), constraint.Sigma1(),
+	imp, err = implies(dtd.Teachers(), constraint.Sigma1(),
 		constraint.UnaryInclusion("teacher", "name", "subject", "taught_by"), nil)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)
@@ -216,17 +217,17 @@ func TestImpliesRejectsMultiAttrConclusion(t *testing.T) {
 		Child: "enroll", ChildAttrs: []string{"dept", "course_no"},
 		Parent: "course", ParentAttrs: []string{"dept", "course_no"},
 	}
-	if _, err := Implies(d, nil, phi, nil); err == nil {
+	if _, err := implies(d, nil, phi, nil); err == nil {
 		t.Error("multi-attribute conclusion should be rejected as undecidable")
 	}
 }
 
 func TestCheckerImplies(t *testing.T) {
-	c, err := NewChecker(dtd.Teachers())
+	c, err := checker(dtd.Teachers())
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}
-	imp, err := c.Implies(
+	imp, err := c.ImpliesContext(context.Background(),
 		constraint.MustParse("teacher.name -> teacher"),
 		constraint.UnaryKey("teacher", "name"), nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestWitnessNodeBudget(t *testing.T) {
 	// D1's minimal witness needs 8 nodes (teachers, teacher, teach,
 	// research, 2 subjects, 2 texts…); a budget of 2 must fail loudly
 	// rather than truncate.
-	_, err := Consistent(dtd.Teachers(), nil, &Options{
+	_, err := consistent(dtd.Teachers(), nil, &Options{
 		Witness: witness.Limits{MaxNodes: 2},
 	})
 	if err == nil || !strings.Contains(err.Error(), "node") {
@@ -33,7 +34,7 @@ func TestSolverBudgetSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LIPToSpec: %v", err)
 	}
-	_, err = Consistent(spec.DTD, spec.Sigma, &Options{
+	_, err = consistent(spec.DTD, spec.Sigma, &Options{
 		Solver:      ilp.Options{MaxNodes: 1},
 		SkipWitness: true,
 	})
@@ -46,7 +47,7 @@ func TestDiagnosePropagatesSolverBudget(t *testing.T) {
 	// Presolve decides the Σ1 checks without any search, so the budget can
 	// only trip — and the test can only exercise its propagation — on the
 	// raw branch-and-bound path.
-	_, err := Diagnose(dtd.Teachers(), constraint.Sigma1(), &Options{
+	_, err := diagnose(dtd.Teachers(), constraint.Sigma1(), &Options{
 		Solver: ilp.Options{MaxNodes: 1, DisablePresolve: true},
 	})
 	if !errors.Is(err, ilp.ErrNodeLimit) {
@@ -56,14 +57,14 @@ func TestDiagnosePropagatesSolverBudget(t *testing.T) {
 
 func TestNilOptionsEverywhere(t *testing.T) {
 	// All entry points accept nil options.
-	if _, err := Consistent(dtd.Teachers(), nil, nil); err != nil {
+	if _, err := consistent(dtd.Teachers(), nil, nil); err != nil {
 		t.Errorf("Consistent(nil opts): %v", err)
 	}
-	if _, err := Implies(dtd.Teachers(), nil, constraint.UnaryKey("teacher", "name"), nil); err != nil {
+	if _, err := implies(dtd.Teachers(), nil, constraint.UnaryKey("teacher", "name"), nil); err != nil {
 		t.Errorf("Implies(nil opts): %v", err)
 	}
-	c, _ := NewChecker(dtd.Teachers())
-	if _, err := c.Consistent(nil, nil); err != nil {
-		t.Errorf("Checker.Consistent(nil opts): %v", err)
+	c, _ := checker(dtd.Teachers())
+	if _, err := c.ConsistentContext(context.Background(), nil, nil); err != nil {
+		t.Errorf("Checker.ConsistentContext(nil opts): %v", err)
 	}
 }

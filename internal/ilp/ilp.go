@@ -44,11 +44,12 @@ type Options struct {
 	// Zero means DefaultMaxNodes; negative values are rejected with
 	// ErrInvalidOptions.
 	MaxNodes int
-	// Parallelism is the number of branch-and-bound worker goroutines. 0
-	// and 1 both mean the serial search; negative values are rejected with
-	// ErrInvalidOptions. Verdicts are identical at any parallelism — only
-	// the witness and the node count may differ, because workers explore
-	// the tree in a different order than the serial stack.
+	// Parallelism is the number of branch-and-bound workers. 0 and 1 both
+	// mean one worker, which searches on the calling goroutine, depth
+	// first; negative values are rejected with ErrInvalidOptions. Verdicts
+	// are identical at any parallelism — only the witness and the node
+	// count may differ, because several workers explore the tree in
+	// another order than one.
 	Parallelism int
 	// DisablePresolve skips the presolve and fast-path layer, running the
 	// full branch-and-bound search on the raw system. It exists for
@@ -124,8 +125,8 @@ type Stats struct {
 	// ExactFallbacks counts LP solves whose fast tableau overflowed (or
 	// hit the magnitude cap) and were redone on the exact kernel.
 	ExactFallbacks int
-	// Steals counts subproblems a parallel worker took from another
-	// worker's deque; always 0 for the serial search.
+	// Steals counts subproblems a worker took from another worker's
+	// deque; always 0 with one worker.
 	Steals int
 }
 
@@ -270,78 +271,11 @@ func branchAndBound(ctx context.Context, spec *problemSpec, opt *Options, fixed 
 	if infeasibleByGCD(spec) {
 		return &Result{Feasible: false, Stats: stats}, nil
 	}
-	if w := opt.parallelism(); w > 1 {
-		return searchParallel(ctx, spec, opt, fixed, stats, w)
-	}
-	limit := opt.maxNodes()
-	root := &node{lo: make([]*big.Int, spec.n), hi: make([]*big.Int, spec.n)}
-	stack := []*node{root}
-	nodes := 0
-	// With no conditional constraints there is nothing to case-split on:
-	// the root LP relaxation alone decides whenever it is infeasible or its
-	// optimum is integral, and the search only branches on fractionality.
-	// Presolve resolves implications aggressively to put systems into this
-	// class; a one-node decision on such a system is the structural fast
-	// path the serving counters report.
-	fastEligible := len(spec.implications) == 0
-	for len(stack) > 0 {
-		// The search is NP-complete (Theorem 4.7); the context is the only
-		// way a caller can bound its wall-clock time, so check every node.
-		if err := ctx.Err(); err != nil {
-			return &Result{Nodes: nodes, Stats: stats}, fmt.Errorf("ilp: search aborted after %d nodes: %w", nodes, err)
-		}
-		if nodes >= limit {
-			return &Result{Nodes: nodes, Stats: stats}, fmt.Errorf("%w (%d nodes)", ErrNodeLimit, limit)
-		}
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes++
-		sol := solveLP(ctx, spec, nd, nil)
-		stats.Pivots += sol.Pivots
-		stats.FastPivots += sol.FastPivots
-		if sol.ExactFallback {
-			stats.ExactFallbacks++
-		}
-		if sol.Status == simplex.Interrupted {
-			return &Result{Nodes: nodes, Stats: stats}, fmt.Errorf("ilp: search aborted mid-LP after %d nodes: %w", nodes, ctx.Err())
-		}
-		if sol.Status == simplex.Internal {
-			return &Result{Nodes: nodes, Stats: stats}, fmt.Errorf("%w (after %d nodes)", ErrInternal, nodes)
-		}
-		if sol.Status == simplex.Infeasible {
-			continue
-		}
-		if sol.Status == simplex.Unbounded {
-			// Minimizing Σx over x ≥ 0 is bounded below; unbounded status
-			// indicates an internal error. Wrap ErrInternal so the Spec
-			// boundary classifies it like every other solver failure, and
-			// keep the Result non-nil so callers can read Nodes.
-			return &Result{Nodes: nodes, Stats: stats},
-				fmt.Errorf("%w: LP relaxation reported unbounded for a bounded objective (after %d nodes)", ErrInternal, nodes)
-		}
-		if j := firstFractional(sol.X); j >= 0 {
-			left, right := branchChildren(nd, j, sol.X[j])
-			// Explore the smaller-value branch first: witnesses stay small.
-			stack = append(stack, right, left)
-			continue
-		}
-		values := integralValues(spec, sol)
-		if imp, ok := violatedImplication(spec, values); ok {
-			zero, pos := implicationChildren(nd, imp)
-			stack = append(stack, pos, zero)
-			continue
-		}
-		stats.FastPath = fastEligible && nodes == 1
-		mergeFixed(values, fixed)
-		return &Result{Feasible: true, Values: values, Nodes: nodes, Stats: stats}, nil
-	}
-	stats.FastPath = fastEligible && nodes == 1
-	return &Result{Nodes: nodes, Stats: stats}, nil
+	return search(ctx, spec, opt, fixed, stats, opt.parallelism())
 }
 
 // branchChildren splits nd on the fractional value v of variable j:
-// left gets x_j ≤ ⌊v⌋, right gets x_j ≥ ⌊v⌋+1. Shared by the serial and
-// parallel searches so both explore the identical tree shape.
+// left gets x_j ≤ ⌊v⌋, right gets x_j ≥ ⌊v⌋+1.
 func branchChildren(nd *node, j int, v *big.Rat) (left, right *node) {
 	floor := ratFloor(v)
 	left = nd.child() // x_j ≤ ⌊v⌋
@@ -391,8 +325,8 @@ func mergeFixed(values, fixed []*big.Int) {
 // solveLP is a variable so tests can force solver statuses that are
 // unreachable through well-formed inputs (the min-Σx objective over x ≥ 0
 // is bounded below, so simplex.Unbounded is a defensive branch). The stop
-// hook is the parallel search's lock-free kill switch: non-nil only for
-// worker goroutines, polled once per pivot alongside the context so a
+// hook is the search's lock-free kill switch: non-nil only when several
+// workers search, polled once per pivot alongside the context so a
 // finished search interrupts every sibling LP promptly.
 var solveLP = realSolveLP
 

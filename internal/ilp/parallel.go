@@ -1,12 +1,13 @@
-// Parallel branch-and-bound. The search tree from ilp.go's serial loop is
-// explored by a pool of worker goroutines over per-worker subproblem
-// deques: each worker pops its own deque LIFO (depth-first, like the
-// serial stack) and steals from the head of a sibling's deque when it runs
+// Branch-and-bound. The search tree is explored by a pool of workers over
+// per-worker subproblem deques: each worker pops its own deque LIFO
+// (depth-first) and steals from the head of a sibling's deque when it runs
 // dry (breadth-ish, so stolen work is a big subtree, not a leaf). One
-// mutex + condition variable coordinates everything; the only other shared
-// state is an atomic stop flag that the simplex interrupt hook polls
-// lock-free once per pivot, so the first worker to reach a verdict kills
-// every in-flight LP promptly.
+// worker (Parallelism 0 or 1) runs on the calling goroutine and explores
+// the tree depth-first, the smaller branch first. One mutex + condition
+// variable coordinates everything; the only other shared state is an
+// atomic stop flag that the simplex interrupt hook polls lock-free once
+// per pivot when several workers search, so the first worker to reach a
+// verdict kills every in-flight LP promptly.
 //
 // Termination uses a pending counter (subproblems queued or in flight):
 // a worker that finds every deque empty while pending is zero has proven
@@ -18,6 +19,8 @@
 // under the mutex before starting its LP, and a reservation that would
 // exceed MaxNodes closes the search with ErrNodeLimit instead, so
 // Result.Nodes never exceeds the budget no matter how many workers race.
+// A reservation first checks the context, so a cancelled search charges
+// no node whose LP never started.
 package ilp
 
 import (
@@ -30,7 +33,7 @@ import (
 	"xic/internal/simplex"
 )
 
-// psearch is the shared state of one parallel search.
+// psearch is the shared state of one search.
 type psearch struct {
 	spec  *problemSpec
 	limit int
@@ -43,14 +46,15 @@ type psearch struct {
 	// hot reservation path never formats an error under the mutex.
 	limitErr error
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled on push, exhaustion, and close
-	deques  [][]*node  // per-worker: own pops at the tail, steals at the head
-	pending int        // subproblems queued or in flight
-	nodes   int        // LPs started; reserved under mu, never exceeds limit
-	closed  bool
-	found   []*big.Int // witness of the winning close; nil = infeasible/error
-	err     error
+	mu       sync.Mutex
+	cond     *sync.Cond // signalled on push, exhaustion, and close
+	deques   [][]*node  // per-worker: own pops at the tail, steals at the head
+	pending  int        // subproblems queued or in flight
+	nodes    int        // LPs started; reserved under mu, never exceeds limit
+	closed   bool
+	canceled bool       // err is the context's, met at a reservation
+	found    []*big.Int // witness of the winning close; nil = infeasible/error
+	err      error
 
 	// LP work counters, merged into Stats after the workers join.
 	pivots         int
@@ -59,11 +63,11 @@ type psearch struct {
 	steals         int
 }
 
-// searchParallel explores spec across workers goroutines and merges the
-// first verdict. It mirrors the serial loop's contract exactly: identical
-// feasibility verdicts, a valid (possibly different) witness, exact node
-// accounting against opt.maxNodes(), and non-nil Results on error paths.
-func searchParallel(ctx context.Context, spec *problemSpec, opt *Options, fixed []*big.Int, stats Stats, workers int) (*Result, error) {
+// search explores spec with workers workers and returns the first
+// verdict: identical feasibility verdicts at any worker count, a valid
+// witness, exact node accounting against opt.maxNodes(), and non-nil
+// Results on error paths.
+func search(ctx context.Context, spec *problemSpec, opt *Options, fixed []*big.Int, stats Stats, workers int) (*Result, error) {
 	ps := &psearch{
 		spec:   spec,
 		limit:  opt.maxNodes(),
@@ -75,23 +79,35 @@ func searchParallel(ctx context.Context, spec *problemSpec, opt *Options, fixed 
 	ps.deques[0] = append(ps.deques[0], root)
 	ps.pending = 1
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps.worker(ctx, w)
-		}(w)
+	if workers == 1 {
+		// A lone worker closes the search itself, between LPs, so it
+		// needs no stop hook and no goroutine.
+		ps.worker(ctx, 0, nil)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ps.worker(ctx, w, ps.stop.Load)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	stats.Pivots += ps.pivots
 	stats.FastPivots += ps.fastPivots
 	stats.ExactFallbacks += ps.exactFallbacks
 	stats.Steals += ps.steals
+	if ps.canceled {
+		return &Result{Nodes: ps.nodes, Stats: stats}, fmt.Errorf("ilp: search aborted after %d nodes: %w", ps.nodes, ps.err)
+	}
 	if ps.err != nil {
 		return &Result{Nodes: ps.nodes, Stats: stats}, ps.err
 	}
+	// With no conditional constraints the root LP decides whenever it is
+	// infeasible or integral; a one-node decision on such a system is the
+	// structural fast path the serving counters report.
 	stats.FastPath = len(spec.implications) == 0 && ps.nodes == 1
 	if ps.found != nil {
 		mergeFixed(ps.found, fixed)
@@ -100,22 +116,15 @@ func searchParallel(ctx context.Context, spec *problemSpec, opt *Options, fixed 
 	return &Result{Nodes: ps.nodes, Stats: stats}, nil
 }
 
-// worker is one search goroutine: pop/steal a subproblem, solve its LP
+// worker is one searcher: pop/steal a subproblem, solve its LP
 // relaxation, then refute it, branch on it, or close the whole search.
-func (ps *psearch) worker(ctx context.Context, w int) {
+func (ps *psearch) worker(ctx context.Context, w int, stop func() bool) {
 	for {
-		nd, ok := ps.next(w)
+		nd, ok := ps.next(ctx, w)
 		if !ok {
 			return
 		}
-		if err := ctx.Err(); err != nil {
-			ps.closeWith(func(nodes int) ([]*big.Int, error) {
-				return nil, fmt.Errorf("ilp: search aborted after %d nodes: %w", nodes, err)
-			})
-			ps.finish(w)
-			continue
-		}
-		sol := solveLP(ctx, ps.spec, nd, ps.stop.Load)
+		sol := solveLP(ctx, ps.spec, nd, stop)
 		ps.recordLP(sol)
 		switch sol.Status {
 		case simplex.Interrupted:
@@ -133,6 +142,7 @@ func (ps *psearch) worker(ctx context.Context, w int) {
 			})
 			ps.finish(w)
 		case simplex.Unbounded:
+			// Minimizing Σx over x ≥ 0 is bounded below: a solver bug.
 			ps.closeWith(func(nodes int) ([]*big.Int, error) {
 				return nil, fmt.Errorf("%w: LP relaxation reported unbounded for a bounded objective (after %d nodes)", ErrInternal, nodes)
 			})
@@ -142,7 +152,8 @@ func (ps *psearch) worker(ctx context.Context, w int) {
 		default: // Optimal
 			if j := firstFractional(sol.X); j >= 0 {
 				left, right := branchChildren(nd, j, sol.X[j])
-				// Tail order matches the serial stack: left pops next.
+				// Tail order: left pops next, so the smaller value is
+				// explored first and witnesses stay small.
 				ps.finish(w, right, left)
 				continue
 			}
@@ -159,11 +170,11 @@ func (ps *psearch) worker(ctx context.Context, w int) {
 }
 
 // next blocks until worker w has a subproblem reserved against the node
-// budget, or the search is over (closed, exhausted, or out of budget) —
-// then ok is false and the worker exits.
+// budget, or the search is over (closed, exhausted, cancelled or out of
+// budget) — then ok is false and the worker exits.
 //
 //xic:hotpath
-func (ps *psearch) next(w int) (nd *node, ok bool) {
+func (ps *psearch) next(ctx context.Context, w int) (nd *node, ok bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for {
@@ -173,11 +184,11 @@ func (ps *psearch) next(w int) (nd *node, ok bool) {
 		if own := ps.deques[w]; len(own) > 0 {
 			nd = own[len(own)-1]
 			ps.deques[w] = own[:len(own)-1]
-			return ps.reserveLocked(nd)
+			return ps.reserveLocked(ctx, nd)
 		}
 		if nd = ps.stealLocked(w); nd != nil {
 			ps.steals++
-			return ps.reserveLocked(nd)
+			return ps.reserveLocked(ctx, nd)
 		}
 		if ps.pending == 0 {
 			// Every subproblem was refuted: the system is infeasible.
@@ -207,11 +218,18 @@ func (ps *psearch) stealLocked(w int) *node {
 	return nd
 }
 
-// reserveLocked charges one node against the budget, closing the search
-// with ErrNodeLimit when the budget is already spent. Caller holds mu.
+// reserveLocked charges one node against the budget. It closes the search
+// instead with the context's error when the context is done, so a
+// reserved node always starts its LP, and with ErrNodeLimit when the
+// budget is already spent. Caller holds mu.
 //
 //xic:hotpath
-func (ps *psearch) reserveLocked(nd *node) (*node, bool) {
+func (ps *psearch) reserveLocked(ctx context.Context, nd *node) (*node, bool) {
+	if err := ctx.Err(); err != nil {
+		ps.canceled = true
+		ps.closeLocked(nil, err)
+		return nil, false
+	}
 	if ps.nodes >= ps.limit {
 		ps.closeLocked(nil, ps.limitErr)
 		return nil, false

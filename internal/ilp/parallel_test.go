@@ -80,20 +80,20 @@ func TestParallelVerdictsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelAgainstPresolveOff additionally cross-validates the parallel
-// search with presolve disabled, so the workers see raw systems with
+// TestParallelAgainstPresolveOff additionally cross-validates four workers
+// against one with presolve disabled, so the workers see raw systems with
 // implications rather than presolve-shrunken ones.
 func TestParallelAgainstPresolveOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
 		s := randomSystem(rng)
-		serial, errS := Solve(context.Background(), s, &Options{MaxNodes: 50000, DisablePresolve: true})
+		one, errS := Solve(context.Background(), s, &Options{MaxNodes: 50000, DisablePresolve: true})
 		par, errP := Solve(context.Background(), s, &Options{MaxNodes: 50000, DisablePresolve: true, Parallelism: 4})
 		if errS != nil || errP != nil {
-			t.Fatalf("trial %d: serial=%v parallel=%v\n%s", trial, errS, errP, s)
+			t.Fatalf("trial %d: one worker=%v four=%v\n%s", trial, errS, errP, s)
 		}
-		if serial.Feasible != par.Feasible {
-			t.Fatalf("trial %d: serial=%v parallel=%v\n%s", trial, serial.Feasible, par.Feasible, s)
+		if one.Feasible != par.Feasible {
+			t.Fatalf("trial %d: one worker=%v four=%v\n%s", trial, one.Feasible, par.Feasible, s)
 		}
 		if par.Feasible {
 			if msg := s.EvalBig(par.Values); msg != "" {
@@ -118,6 +118,24 @@ func TestParallelNodeLimit(t *testing.T) {
 	}
 	if res.Nodes > 2 {
 		t.Errorf("Nodes = %d, want ≤ MaxNodes=2", res.Nodes)
+	}
+}
+
+// TestCanceledSearchChargesNoNode: a search whose context is cancelled
+// before it starts runs no LP, so at every worker count it reports no
+// node and the context's error (Result.Nodes counts LP relaxations
+// actually solved).
+func TestCanceledSearchChargesNoNode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []int{0, 1, 2, 4} {
+		res, err := Solve(ctx, oddCycleSystem(), &Options{Parallelism: par, DisablePresolve: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Parallelism %d: error = %v, want context.Canceled", par, err)
+		}
+		if res == nil || res.Nodes != 0 {
+			t.Errorf("Parallelism %d: Result %+v, want Nodes 0", par, res)
+		}
 	}
 }
 
@@ -247,11 +265,11 @@ func TestFastTableauStatsReported(t *testing.T) {
 	}
 }
 
-// FuzzParallelAgreement is the parallel-vs-serial soundness fuzzer the CI
-// smoke job runs: for any decodable system, serial and 4-way-parallel
-// verdicts must agree (node-limit truncations excepted — the two searches
-// spend the budget in different tree orders), and parallel witnesses must
-// satisfy the system.
+// FuzzParallelAgreement is the N-workers-vs-one soundness fuzzer the CI
+// smoke job runs: for any decodable system, the verdicts of one worker and
+// of four must agree (node-limit truncations excepted — the two searches
+// spend the budget in different tree orders), and the four workers'
+// witnesses must satisfy the system.
 func FuzzParallelAgreement(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 0, 4})
 	f.Add([]byte{3, 4, 250, 0, 1, 2, 200, 9, 17, 33, 2, 1, 0, 1})
@@ -261,20 +279,20 @@ func FuzzParallelAgreement(f *testing.F) {
 		if sys == nil {
 			t.Skip()
 		}
-		serial, errS := Solve(context.Background(), sys, &Options{MaxNodes: 20000})
+		one, errS := Solve(context.Background(), sys, &Options{MaxNodes: 20000})
 		par, errP := Solve(context.Background(), sys, &Options{MaxNodes: 20000, Parallelism: 4})
 		if errors.Is(errS, ErrNodeLimit) || errors.Is(errP, ErrNodeLimit) {
 			t.Skip() // bounded-search truce; agreement is only meaningful on completed searches
 		}
 		if errS != nil || errP != nil {
-			t.Fatalf("solve errors: serial=%v parallel=%v\n%s", errS, errP, sys)
+			t.Fatalf("solve errors: one worker=%v four=%v\n%s", errS, errP, sys)
 		}
-		if serial.Feasible != par.Feasible {
-			t.Fatalf("serial=%v parallel=%v on\n%s", serial.Feasible, par.Feasible, sys)
+		if one.Feasible != par.Feasible {
+			t.Fatalf("one worker=%v four=%v on\n%s", one.Feasible, par.Feasible, sys)
 		}
 		if par.Feasible {
 			if msg := sys.EvalBig(par.Values); msg != "" {
-				t.Fatalf("parallel witness invalid (%s) on\n%s", msg, sys)
+				t.Fatalf("four workers' witness invalid (%s) on\n%s", msg, sys)
 			}
 		}
 	})

@@ -18,10 +18,11 @@ import (
 	"xic/internal/randgen"
 )
 
-// pinnedSystem is one Ψ(D,Σ) whose presolve result is pinned by hash.
-type pinnedSystem struct {
-	name string
-	sys  *linear.System
+// PinnedSystem is one Ψ(D,Σ) whose presolve result (and, in the external
+// test package, search result) is pinned by hash.
+type PinnedSystem struct {
+	Name string
+	Sys  *linear.System
 }
 
 // encodeSpec builds Ψ(D,Σ) as the consistency check does: the cardinality
@@ -44,11 +45,12 @@ func teacherSystem(tb testing.TB, n int, withFK bool) *linear.System {
 	return encodeSpec(tb, randgen.TeacherFamily(n), randgen.TeacherFamilyConstraints(n, withFK))
 }
 
-// pinnedSystems lists the inputs of TestReducedSystemsPinned: 400 seeded
+// PinnedSystems lists the inputs of TestReducedSystemsPinned and
+// TestSolvedSystemsPinned: 400 seeded
 // random DTDs with random unary constraint sets (negations included), and
 // the teacher family with and without foreign keys.
-func pinnedSystems(tb testing.TB) []pinnedSystem {
-	var out []pinnedSystem
+func PinnedSystems(tb testing.TB) []PinnedSystem {
+	var out []PinnedSystem
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := randgen.RandDTD(rng, randgen.DTDSpec{
@@ -64,7 +66,7 @@ func pinnedSystems(tb testing.TB) []pinnedSystem {
 			NegKeys:       rng.Intn(2),
 			NegInclusions: rng.Intn(3),
 		})
-		out = append(out, pinnedSystem{fmt.Sprintf("randgen-%d", seed), encodeSpec(tb, d, set)})
+		out = append(out, PinnedSystem{fmt.Sprintf("randgen-%d", seed), encodeSpec(tb, d, set)})
 	}
 	for n := 1; n <= 8; n++ {
 		for _, fk := range []bool{false, true} {
@@ -72,7 +74,7 @@ func pinnedSystems(tb testing.TB) []pinnedSystem {
 			if fk {
 				name += "-fk"
 			}
-			out = append(out, pinnedSystem{name, teacherSystem(tb, n, fk)})
+			out = append(out, PinnedSystem{name, teacherSystem(tb, n, fk)})
 		}
 	}
 	return out
@@ -84,16 +86,16 @@ func pinnedSystems(tb testing.TB) []pinnedSystem {
 func resultHash(res *Result) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "decided=%v feasible=%v\n", res.Decided, res.Feasible)
-	fmt.Fprintf(h, "values=%s\n", bigList(res.Values))
+	fmt.Fprintf(h, "values=%s\n", BigList(res.Values))
 	fmt.Fprintf(h, "stats=%+v\n", res.Stats)
 	if res.Sys != nil {
 		fmt.Fprintf(h, "sys:\n%s", res.Sys)
 	}
-	fmt.Fprintf(h, "fixed=%s\n", bigList(res.Fixed))
+	fmt.Fprintf(h, "fixed=%s\n", BigList(res.Fixed))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func bigList(xs []*big.Int) string {
+func BigList(xs []*big.Int) string {
 	parts := make([]string, len(xs))
 	for i, x := range xs {
 		parts[i] = "-"
@@ -112,16 +114,16 @@ func bigList(xs []*big.Int) string {
 // witnesses downstream. After an intended change, replace the file with
 // the list the failure logs.
 func TestReducedSystemsPinned(t *testing.T) {
-	want := readPins(t, "testdata/reduced.txt")
+	want := ReadPins(t, "testdata/reduced.txt")
 	var got strings.Builder
 	bad := 0
-	for _, in := range pinnedSystems(t) {
-		h := resultHash(Run(in.sys))
-		fmt.Fprintf(&got, "%s %s\n", in.name, h)
-		if w, ok := want[in.name]; !ok || w != h {
+	for _, in := range PinnedSystems(t) {
+		h := resultHash(Run(in.Sys))
+		fmt.Fprintf(&got, "%s %s\n", in.Name, h)
+		if w, ok := want[in.Name]; !ok || w != h {
 			bad++
 			if bad <= 20 {
-				t.Errorf("%s: presolve result hash %s, pinned %q", in.name, h, w)
+				t.Errorf("%s: presolve result hash %s, pinned %q", in.Name, h, w)
 			}
 		}
 	}
@@ -130,7 +132,7 @@ func TestReducedSystemsPinned(t *testing.T) {
 	}
 }
 
-func readPins(t *testing.T, path string) map[string]string {
+func ReadPins(t *testing.T, path string) map[string]string {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {

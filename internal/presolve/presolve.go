@@ -74,7 +74,7 @@ type Stats struct {
 	Implications    int  // conditional constraints in the input
 	ImplicationsOut int  // conditional constraints left after resolution
 	Tightened       int  // inequality constants moved by GCD rounding
-	Cuts            int  // Chvátal–Gomory cutting planes added at the root
+	Cuts            int  // always 0 (no cutting planes); kept while the benchmark's decide trace reads it and TestReducedSystemsPinned hashes Stats by field
 	Rounds          int  // propagation sweeps until fixpoint (or cap)
 	Bailed          bool // a value left int64, or the least point failed the input with a variable free; input returned unreduced
 }
@@ -167,13 +167,6 @@ func Run(sys *linear.System) *Result {
 	}
 
 	st.runFixpoint()
-	// Root-node cutting planes: after a clean fixpoint (and only then — a
-	// capped, still-changing state signals a divergence spiral that new
-	// rows could feed), inject Chvátal–Gomory cuts and run the fixpoint
-	// again so bound propagation exploits them. See cuts.go.
-	if !st.halted() && !st.changed && st.generateCuts() {
-		st.runFixpoint()
-	}
 	// Past the cap, stop the (possibly divergent) bound propagation and
 	// stabilize the remaining monotone rules: substitution consumes
 	// coefficients, implications and rows only shrink, and fixes only grow,
@@ -209,7 +202,7 @@ func (st *state) halted() bool { return st.infeasible || st.overflow }
 
 // runFixpoint sweeps the full rule set — normalization, bound
 // propagation, implication resolution, variable fixing — until nothing
-// changes, the system is refuted, or the shared round cap trips. On exit
+// changes, the system is refuted, or the round cap trips. On exit
 // st.changed is false exactly when a clean fixpoint was reached.
 func (st *state) runFixpoint() {
 	for st.stats.Rounds < maxRounds {
@@ -797,7 +790,6 @@ func (st *state) bail() *Result {
 	st.stats.RowsOut = st.stats.Rows
 	st.stats.VarsFixed = 0
 	st.stats.ImplicationsOut = st.stats.Implications
-	st.stats.Cuts = 0
 	return &Result{Sys: st.sys, Stats: st.stats}
 }
 

@@ -3,6 +3,7 @@ package presolve
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"xic/internal/linear"
@@ -391,4 +392,79 @@ func TestBailCountsNothingResolved(t *testing.T) {
 	if res.Stats.ImplicationsOut != res.Stats.Implications || res.Stats.VarsFixed != 0 {
 		t.Errorf("bail stats claim reductions that never shipped: %+v", res.Stats)
 	}
+}
+
+// TestPresolveSoundAgainstBruteForce: randomized agreement — presolve must
+// never flip a verdict against brute force over the capped box, and a
+// reduced system must stay feasible when its input is.
+func TestPresolveSoundAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		s := linear.NewSystem()
+		n := 1 + rng.Intn(3)
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = s.Var(string(rune('a' + i)))
+		}
+		rows := 1 + rng.Intn(3)
+		for r := 0; r < rows; r++ {
+			e := linear.Expr{}
+			for _, id := range ids {
+				if c := int64(rng.Intn(9) - 4); c != 0 {
+					e.Plus(id, c)
+				}
+			}
+			rhs := int64(rng.Intn(11) - 3)
+			switch rng.Intn(3) {
+			case 0:
+				s.AddEq(e, rhs)
+			case 1:
+				s.AddLe(e, rhs)
+			default:
+				s.AddGe(e, rhs)
+			}
+		}
+		for _, id := range ids {
+			s.AddLe(linear.Term(id, 1), 4)
+		}
+		want := bruteForceBox(s, 4)
+		res := Run(s)
+		if res.Decided {
+			if res.Feasible != want {
+				t.Fatalf("trial %d: presolve=%v brute=%v\n%s", trial, res.Feasible, want, s)
+			}
+			if res.Feasible {
+				if msg := s.EvalBig(res.Values); msg != "" {
+					t.Fatalf("trial %d: witness invalid: %s\n%s", trial, msg, s)
+				}
+			}
+			continue
+		}
+		// Reduced system: when the input has an integer point in the box,
+		// the reduced system must keep one.
+		got := bruteForceBox(res.Sys, 6)
+		if want && !got {
+			t.Fatalf("trial %d: reduced system lost a solution\n%s\nreduced:\n%s", trial, s, res.Sys)
+		}
+	}
+}
+
+// bruteForceBox enumerates integer assignments in [0,bound]^n.
+func bruteForceBox(s *linear.System, bound int64) bool {
+	n := s.VarCount()
+	x := make([]int64, n)
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == n {
+			return s.Eval(x) == ""
+		}
+		for v := int64(0); v <= bound; v++ {
+			x[i] = v
+			if rec(i + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	return rec(0)
 }

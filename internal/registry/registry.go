@@ -167,6 +167,9 @@ type Registry struct {
 	mu      sync.Mutex
 	schemas *tier
 	specs   *tier
+	// evictedSolve totals the solver counters of the Specs the spec tier
+	// has evicted, taken at eviction, so SolveStats never goes backwards.
+	evictedSolve xic.SolveStats
 }
 
 // New returns a registry holding at most maxSpecs bound specifications and
@@ -365,7 +368,41 @@ func (r *Registry) insertLocked(t *tier, key string, v any) {
 		t.order.Remove(back)
 		delete(t.byID, back.Value.(keyedValue).k)
 		t.stats.Evictions++
+		if e, ok := back.Value.(keyedValue).v.(*Entry); ok {
+			addSolveStats(&r.evictedSolve, e.Spec.SolveStats())
+		}
 	}
+}
+
+// SolveStats returns the solver counters of every Spec the spec tier has
+// held: the live entries' counters plus those of evicted Specs, added in
+// at eviction. No counter ever decreases. Work an in-flight request adds
+// to a Spec after its eviction is not counted.
+func (r *Registry) SolveStats() xic.SolveStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	total := r.evictedSolve
+	for el := r.specs.order.Front(); el != nil; el = el.Next() {
+		addSolveStats(&total, el.Value.(keyedValue).v.(*Entry).Spec.SolveStats())
+	}
+	return total
+}
+
+// addSolveStats adds st into total, counter by counter.
+func addSolveStats(total *xic.SolveStats, st xic.SolveStats) {
+	total.Solves += st.Solves
+	total.PresolveDecided += st.PresolveDecided
+	total.PresolveBailed += st.PresolveBailed
+	total.FastPath += st.FastPath
+	total.Nodes += st.Nodes
+	total.Pivots += st.Pivots
+	total.FastPivots += st.FastPivots
+	total.ExactFallbacks += st.ExactFallbacks
+	total.Steals += st.Steals
+	total.PresolveRows += st.PresolveRows
+	total.PresolveRowsOut += st.PresolveRowsOut
+	total.VarsFixed += st.VarsFixed
+	total.ImplicationsResolved += st.ImplicationsResolved
 }
 
 // Get returns the cached Spec with the given fused fingerprint id,
@@ -395,9 +432,7 @@ func (r *Registry) GetSchema(id string) (*xic.Schema, bool) {
 }
 
 // Entries returns a snapshot of the cached spec-tier entries, most
-// recently used first, without refreshing LRU positions. Serving layers
-// use it to aggregate per-Spec statistics (such as xic.Spec.SolveStats)
-// across the whole cache.
+// recently used first, without refreshing LRU positions.
 func (r *Registry) Entries() []*Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

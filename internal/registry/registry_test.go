@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,5 +366,60 @@ func TestSchemaTierSingleflight(t *testing.T) {
 	}
 	if st.SpecTier.Size != 4 {
 		t.Errorf("spec tier holds %d entries, want 4 distinct sets", st.SpecTier.Size)
+	}
+}
+
+// TestSolveStatsNeverDecrease: the registry's solver totals keep the
+// counts of evicted Specs, so a reader never sees them fall while other
+// goroutines compile, check and evict concurrently.
+func TestSolveStatsNeverDecrease(t *testing.T) {
+	r := New(2)
+	const workers, rounds = 4, 6
+	stop := make(chan struct{})
+	fell := make(chan string, 1)
+	go func() {
+		defer close(fell)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := r.SolveStats().Solves
+			if got < last {
+				fell <- fmt.Sprintf("solves fell from %d to %d", last, got)
+				return
+			}
+			last = got
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Trailing newlines make each constraint source, and so each
+				// spec, distinct; the two-entry spec tier evicts constantly.
+				e, _, err := r.Compile(teachersDTD, teachersXIC+strings.Repeat("\n", w*rounds+i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := e.Spec.Consistent(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if msg, ok := <-fell; ok {
+		t.Fatal(msg)
+	}
+	if got := r.SolveStats().Solves; got == 0 || got > workers*rounds {
+		t.Errorf("Solves = %d after %d checks, want between 1 and %d", got, workers*rounds, workers*rounds)
 	}
 }

@@ -2,7 +2,6 @@ package xic
 
 import (
 	"container/list"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -52,14 +51,6 @@ type Schema struct {
 // "encode". The returned Schema serves any number of Bind calls
 // concurrently.
 func CompileDTD(d *DTD) (*Schema, error) {
-	return compileDTD(d, true)
-}
-
-// compileDTD builds a Schema; eager additionally front-loads the
-// conformance automata, which the serving path wants off the request path
-// but the deprecated one-shot helpers (which never validate documents)
-// should not pay for.
-func compileDTD(d *DTD, eager bool) (*Schema, error) {
 	if d == nil {
 		return nil, &SpecError{Stage: "dtd", Err: errNilDTD}
 	}
@@ -71,9 +62,7 @@ func compileDTD(d *DTD, eager bool) (*Schema, error) {
 		return nil, &SpecError{Stage: "encode", Err: err}
 	}
 	validator := xmltree.NewValidator(d)
-	if eager {
-		validator.CompileAll() // keep automaton construction off the serving path
-	}
+	validator.CompileAll() // keep automaton construction off the serving path
 	return &Schema{
 		d:         d,
 		eng:       eng,
@@ -257,36 +246,10 @@ func (m *implMemo) stats() ImplCacheStats {
 	return ImplCacheStats{Hits: m.hits, Misses: m.miss, Entries: m.order.Len()}
 }
 
-// legacySpec compiles through the two-stage path on behalf of the
-// deprecated flat helpers, unwrapping the *SpecError envelope so their
-// historical error values — raw DTD validation and constraint validation
-// errors — keep flowing to old callers unchanged. The schema is throwaway,
-// so the conformance automata (which the decision helpers never touch)
-// are not front-loaded.
-func legacySpec(d *DTD, set []Constraint) (*Spec, error) {
-	sch, err := compileDTD(d, false)
-	if err != nil {
-		return nil, unwrapStage(err)
-	}
-	spec, err := sch.Bind(set...)
-	if err != nil {
-		return nil, unwrapStage(err)
-	}
-	return spec, nil
-}
-
-func unwrapStage(err error) error {
-	var se *SpecError
-	if errors.As(err, &se) && se.Err != nil {
-		return se.Err
-	}
-	return err
-}
-
-// optionsKey renders the Options views that affect a memoized answer. The
-// solver and witness budgets can turn a completed verdict into an error
-// (never cached) but also bound witness shape, so the whole struct
+// optionsKey renders the engine options that affect a memoized answer.
+// The solver budget can turn a completed verdict into an error (never
+// cached), and the options also bound witness shape, so the whole struct
 // participates in the key.
-func optionsKey(opt *Options) string {
+func optionsKey(opt *core.Options) string {
 	return fmt.Sprintf("%+v", *opt)
 }

@@ -6,11 +6,9 @@ import "xic/internal/ilp"
 // SolveOptions.MaxNodes is zero.
 const DefaultMaxNodes = ilp.DefaultMaxNodes
 
-// SolveOptions is the one knob set for the NP decision procedures,
-// replacing the scattered Options / Spec.WithOptions / Spec.WithParallelism
-// trio. A zero SolveOptions is the serving default: presolve on, int64 fast
-// tableau on, serial branch-and-bound, witnesses built, DefaultMaxNodes
-// budget. Values are applied to a Spec with Spec.WithSolveOptions or
+// SolveOptions is the one knob set for the NP decision procedures. A zero
+// SolveOptions is the serving default: presolve on, int64 fast tableau on,
+// one branch-and-bound worker, witnesses built, DefaultMaxNodes budget. Values are applied to a Spec with Spec.WithSolveOptions or
 // per call with Spec.ConsistentOpts / Spec.ImpliesOpts, normally through
 // the functional constructors (WithMaxNodes, WithSolverParallelism,
 // WithoutPresolve, WithoutFastTableau, WithSkipWitness).
@@ -23,15 +21,16 @@ type SolveOptions struct {
 	// SolverParallelism is the solver-side concurrency knob. It bounds
 	// both the branch-and-bound worker goroutines inside one check and the
 	// worker pool of the batch entry points (ConsistentAll, ImpliesAll).
-	// Zero means automatic: a serial search per check, GOMAXPROCS workers
-	// for batches. Verdicts are identical at any parallelism — only the
-	// witness document and the node count may differ, because parallel
-	// workers explore the search tree in a different order.
+	// Zero means automatic: one search worker per check, GOMAXPROCS
+	// workers for batches. Verdicts are identical at any parallelism —
+	// only the witness document and the node count may differ, because
+	// several workers explore the search tree in another order than one.
 	SolverParallelism int
 
 	// DisablePresolve skips the presolve layer (bound propagation, GCD
-	// tightening, Chvátal–Gomory root cuts) and runs branch-and-bound on
-	// the raw system. For ablation benchmarks and cross-validation only.
+	// tightening, variable fixing, implication resolution) and runs
+	// branch-and-bound on the raw system. For ablation benchmarks and
+	// cross-validation only.
 	DisablePresolve bool
 
 	// DisableFastTableau forces every LP onto the exact big.Rat simplex
@@ -55,7 +54,7 @@ func WithMaxNodes(n int) SolveOption {
 
 // WithSolverParallelism runs the branch-and-bound search and the batch
 // entry points on at most n goroutines. n < 1 restores the automatic
-// default (serial search, GOMAXPROCS batch workers).
+// default (one search worker, GOMAXPROCS batch workers).
 func WithSolverParallelism(n int) SolveOption {
 	return func(o *SolveOptions) {
 		if n < 1 {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"xic/internal/ilp"
 )
 
 // TestWithSolveOptionsDerivation: WithSolveOptions layers tweaks on top of
@@ -118,7 +116,7 @@ func TestSolveOptionsParallelVerdicts(t *testing.T) {
 // not a silent fallback to defaults.
 func TestInvalidOptionsTaxonomy(t *testing.T) {
 	spec := mustSpec(t, teachersDTD, sigma1).
-		WithOptions(Options{Solver: ilp.Options{MaxNodes: -5}})
+		WithSolveOptions(WithMaxNodes(-5))
 	_, err := spec.Consistent(context.Background())
 	if !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("err = %v, want ErrInvalidOptions", err)
@@ -142,21 +140,5 @@ func TestInvalidOptionsTaxonomy(t *testing.T) {
 	}
 	if _, err := clamped.Consistent(context.Background()); err != nil {
 		t.Fatalf("clamped view must solve cleanly: %v", err)
-	}
-}
-
-// TestDeprecatedWrappers: the old entry points remain thin veneers over
-// the SolveOptions machinery.
-func TestDeprecatedWrappers(t *testing.T) {
-	spec := mustSpec(t, teachersDTD, sigma1)
-	if got := spec.WithParallelism(3).SolveOptions().SolverParallelism; got != 3 {
-		t.Fatalf("WithParallelism(3) → SolverParallelism %d, want 3", got)
-	}
-	if got := spec.WithParallelism(-1).SolveOptions().SolverParallelism; got != 0 {
-		t.Fatalf("WithParallelism(-1) → SolverParallelism %d, want 0", got)
-	}
-	skipping := spec.WithOptions(Options{SkipWitness: true})
-	if !skipping.SolveOptions().SkipWitness {
-		t.Fatal("WithOptions(SkipWitness) must surface through SolveOptions")
 	}
 }

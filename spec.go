@@ -14,6 +14,7 @@ import (
 	"xic/internal/core"
 	"xic/internal/doccheck"
 	"xic/internal/docsession"
+	"xic/internal/ilp"
 	"xic/internal/xmltree"
 )
 
@@ -45,8 +46,7 @@ type Spec struct {
 	validator *xmltree.Validator
 	stream    *doccheck.Checker
 
-	opt Options
-	par int // ConsistentAll/ImpliesAll worker bound; 0 = GOMAXPROCS
+	opt SolveOptions
 }
 
 // Compile builds a Spec from a DTD and a constraint set. It is the
@@ -161,19 +161,11 @@ func (s *Spec) Constraints() []Constraint {
 // the compiled set.
 func (s *Spec) Class() Class { return s.class }
 
-// SolveOptions returns the Spec's effective solver configuration as one
-// flat value. Zero fields mean their documented defaults (MaxNodes 0 =
-// DefaultMaxNodes, SolverParallelism 0 = serial search / GOMAXPROCS
-// batches).
-func (s *Spec) SolveOptions() SolveOptions {
-	return SolveOptions{
-		MaxNodes:           s.opt.Solver.MaxNodes,
-		SolverParallelism:  s.par,
-		DisablePresolve:    s.opt.Solver.DisablePresolve,
-		DisableFastTableau: s.opt.Solver.DisableFastTableau,
-		SkipWitness:        s.opt.SkipWitness,
-	}
-}
+// SolveOptions returns the Spec's effective solver configuration. Zero
+// fields mean their documented defaults (MaxNodes 0 = DefaultMaxNodes,
+// SolverParallelism 0 = one search worker per check, GOMAXPROCS batch
+// workers).
+func (s *Spec) SolveOptions() SolveOptions { return s.opt }
 
 // WithSolveOptions returns a Spec sharing this one's compiled state with
 // the given tweaks applied on top of its current SolveOptions. The
@@ -185,60 +177,31 @@ func (s *Spec) SolveOptions() SolveOptions {
 // For a single differently-tuned call, use ConsistentOpts or ImpliesOpts
 // instead.
 func (s *Spec) WithSolveOptions(opts ...SolveOption) *Spec {
-	so := s.SolveOptions()
+	out := *s
 	for _, apply := range opts {
 		if apply != nil {
-			apply(&so)
+			apply(&out.opt)
 		}
 	}
-	co := s.opt
-	co.Solver.MaxNodes = so.MaxNodes
-	co.Solver.DisablePresolve = so.DisablePresolve
-	co.Solver.DisableFastTableau = so.DisableFastTableau
-	co.SkipWitness = so.SkipWitness
-	par := so.SolverParallelism
-	if par < 1 {
-		par = 0
+	if out.opt.SolverParallelism < 1 {
+		out.opt.SolverParallelism = 0
 	}
-	out := *s
-	out.opt = co
-	out.par = par
 	return &out
 }
 
-// WithOptions returns a Spec sharing this one's compiled state but using
-// opt for subsequent checks (solver budget, witness limits, witness
-// skipping). The receiver is unchanged.
-//
-// Deprecated: use WithSolveOptions, which covers the solver knobs in one
-// flat value; WithOptions remains only for the witness-size limits that
-// SolveOptions does not carry.
-func (s *Spec) WithOptions(opt Options) *Spec {
-	out := *s
-	out.opt = opt
-	return &out
-}
-
-// WithParallelism returns a Spec sharing this one's compiled state whose
-// ConsistentAll and ImpliesAll use at most n worker goroutines. n < 1
-// restores the default (runtime.GOMAXPROCS).
-//
-// Deprecated: use WithSolveOptions(WithSolverParallelism(n)), which bounds
-// the batch pool and the in-solver branch-and-bound workers together.
-func (s *Spec) WithParallelism(n int) *Spec {
-	return s.WithSolveOptions(WithSolverParallelism(n))
-}
-
-// engineOptions assembles the core.Options actually handed to the engine:
-// the stored options with the Spec's parallelism threaded into the solver,
-// so one knob (SolverParallelism) drives both the batch pool and the
-// branch-and-bound workers.
+// engineOptions builds the core.Options handed to the engine from the
+// Spec's SolveOptions, so one knob (SolverParallelism) drives both the
+// batch pool and the branch-and-bound workers.
 func (s *Spec) engineOptions() core.Options {
-	co := s.opt
-	if s.par > 0 {
-		co.Solver.Parallelism = s.par
+	return core.Options{
+		Solver: ilp.Options{
+			MaxNodes:           s.opt.MaxNodes,
+			Parallelism:        s.opt.SolverParallelism,
+			DisablePresolve:    s.opt.DisablePresolve,
+			DisableFastTableau: s.opt.DisableFastTableau,
+		},
+		SkipWitness: s.opt.SkipWitness,
 	}
-	return co
 }
 
 // ConsistentDTD reports whether any finite document at all conforms to the
@@ -249,14 +212,14 @@ func (s *Spec) ConsistentDTD() bool { return s.d.HasValidTree() }
 // how many ILP-oracle calls its checks have made, how many were answered
 // by the presolve layer alone or by the no-branching fast path, and how
 // much presolve shrank the systems that did reach branch-and-bound. The
-// counters are shared across WithOptions/WithParallelism views of one
-// compiled engine and are safe to read concurrently; cmd/xicd aggregates
-// them across its spec registry under /debug/vars.
+// counters are shared across WithSolveOptions views of one compiled
+// engine and are safe to read concurrently; cmd/xicd totals them over its
+// spec registry, evicted Specs included, under /debug/vars.
 func (s *Spec) SolveStats() SolveStats { return s.eng.SolveStats() }
 
 // Consistent decides whether some finite document conforms to the DTD and
 // satisfies every compiled constraint, returning a verified witness
-// document on success (unless Options.SkipWitness is set). Keys-only sets
+// document on success (unless SolveOptions.SkipWitness is set). Keys-only sets
 // decide in linear time; unary sets with foreign keys, inclusions or
 // negations pay the NP price of Theorems 4.7/5.1, bounded by the context:
 // cancellation returns an error matching ErrCanceled.
@@ -293,7 +256,7 @@ func (s *Spec) ConsistentWith(ctx context.Context, extra ...Constraint) (*Result
 // returns an error matching ErrCanceled.
 //
 // Settled verdicts are memoized on the Schema, keyed by the bound set's
-// fingerprint, the effective Options and phi, so repeated implication
+// fingerprint, the effective SolveOptions and phi, so repeated implication
 // queries against a stable schema — from this Spec or any other Spec
 // binding an identical set — are pure lookups. Errors are never cached,
 // and memoized counterexamples are private copies.
@@ -358,7 +321,7 @@ func (s *Spec) Validate(ctx context.Context, doc *Tree) error {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
-		//xic:ignore errtaxonomy conformance failures are the documented stringly result of dynamic validation, matching the deprecated ValidateDocument
+		//xic:ignore errtaxonomy conformance failures are the documented stringly result of dynamic validation
 		return err
 	}
 	done := ctx.Done()
@@ -462,9 +425,9 @@ type BatchImplication struct {
 
 // ConsistentAll checks many constraint-set extensions against the compiled
 // specification: element i of the answer is ConsistentWith(ctx, sets[i]...).
-// The checks run on a bounded worker pool (see WithParallelism) and all
-// share the compiled encoding template, so throughput scales with cores
-// instead of re-paying the per-DTD work per set. Cancelling the context
+// The checks run on a bounded worker pool (see WithSolverParallelism) and
+// all share the compiled encoding template, so throughput scales with
+// cores instead of re-paying the per-DTD work per set. Cancelling the context
 // makes remaining entries fail with errors matching ErrCanceled.
 func (s *Spec) ConsistentAll(ctx context.Context, sets [][]Constraint) []BatchResult {
 	out := make([]BatchResult, len(sets))
@@ -518,8 +481,8 @@ func (s *Spec) forEach(n int, do func(i int)) {
 }
 
 func (s *Spec) parallelism() int {
-	if s.par > 0 {
-		return s.par
+	if s.opt.SolverParallelism > 0 {
+		return s.opt.SolverParallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }

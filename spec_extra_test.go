@@ -128,7 +128,7 @@ func TestCompileStringsSemanticErrors(t *testing.T) {
 }
 
 // TestSpecSolveStats: the solver counters accumulate across checks, are
-// shared between WithOptions views of one engine, and report presolve
+// shared between WithSolveOptions views of one engine, and report presolve
 // activity on encoding-shaped systems.
 func TestSpecSolveStats(t *testing.T) {
 	spec, err := CompileStrings(`
@@ -145,7 +145,7 @@ emp.works_in => dept.id`)
 	if st := spec.SolveStats(); st.Solves != 0 {
 		t.Fatalf("fresh spec already has solves: %+v", st)
 	}
-	tuned := spec.WithOptions(Options{SkipWitness: true})
+	tuned := spec.WithSolveOptions(WithSkipWitness())
 	for i := 0; i < 3; i++ {
 		if _, err := tuned.Consistent(context.Background()); err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"xic/internal/dtd"
-	"xic/internal/ilp"
 	"xic/internal/reduction"
 )
 
@@ -58,7 +57,7 @@ func TestSpecConcurrentUse(t *testing.T) {
 						errs <- errors.New("Σ1 must stay inconsistent under concurrency")
 					}
 				case 1:
-					res, err := spec.WithOptions(Options{SkipWitness: true}).ConsistentWith(ctx)
+					res, err := spec.WithSolveOptions(WithSkipWitness()).ConsistentWith(ctx)
 					if err != nil {
 						errs <- err
 					} else if res.Consistent {
@@ -138,7 +137,7 @@ func hardLIPSpec(t *testing.T) *Spec {
 	// Presolve decides this gadget family without ever reaching the simplex,
 	// which is exactly what these tests must not let happen: they exercise
 	// cancellation inside the LP pivot loop, so pin the raw search.
-	return spec.WithOptions(Options{SkipWitness: true, Solver: ilp.Options{DisablePresolve: true}})
+	return spec.WithSolveOptions(WithSkipWitness(), WithoutPresolve())
 }
 
 // TestSpecCancellation proves a context deadline aborts an NP-class
@@ -195,7 +194,7 @@ func TestConsistentAll(t *testing.T) {
 	invalid := []Constraint{UnaryKey("teacher", "ghost")} // undeclared attribute
 
 	sets := [][]Constraint{sigma, keysOnly, nil, invalid}
-	got := base.WithOptions(Options{SkipWitness: true}).ConsistentAll(context.Background(), sets)
+	got := base.WithSolveOptions(WithSkipWitness()).ConsistentAll(context.Background(), sets)
 	if len(got) != len(sets) {
 		t.Fatalf("got %d results for %d sets", len(got), len(sets))
 	}
@@ -213,7 +212,7 @@ func TestConsistentAll(t *testing.T) {
 	}
 
 	// Parallelism is a per-view knob; a serial view must agree.
-	serial := base.WithOptions(Options{SkipWitness: true}).WithParallelism(1).ConsistentAll(context.Background(), sets)
+	serial := base.WithSolveOptions(WithSkipWitness(), WithSolverParallelism(1)).ConsistentAll(context.Background(), sets)
 	for i := range got {
 		gotOK := got[i].Err == nil && got[i].Result.Consistent
 		serialOK := serial[i].Err == nil && serial[i].Result.Consistent
@@ -329,27 +328,6 @@ func TestSpecErrorStages(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "compile") {
 		t.Errorf("SpecError message should mention compile: %v", err)
-	}
-}
-
-func TestWithOptionsDerivation(t *testing.T) {
-	spec := mustSpec(t, teachersDTD, "teacher.name -> teacher")
-	skipping := spec.WithOptions(Options{SkipWitness: true})
-
-	res, err := skipping.Consistent(context.Background())
-	if err != nil {
-		t.Fatalf("Consistent: %v", err)
-	}
-	if res.Witness != nil {
-		t.Error("SkipWitness view must not build witnesses")
-	}
-	// The original view is unchanged and still builds witnesses.
-	res, err = spec.Consistent(context.Background())
-	if err != nil {
-		t.Fatalf("Consistent: %v", err)
-	}
-	if res.Witness == nil {
-		t.Error("original view must still build witnesses")
 	}
 }
 

@@ -23,7 +23,7 @@ func TestShippedSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile teachers spec: %v", err)
 	}
-	res, err := teachers.WithOptions(Options{SkipWitness: true}).Consistent(context.Background())
+	res, err := teachers.WithSolveOptions(WithSkipWitness()).Consistent(context.Background())
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestShippedSpecs(t *testing.T) {
 	if registrar.Class().String() != "C_K" {
 		t.Errorf("registrar constraints should be keys-only, got %s", registrar.Class())
 	}
-	res, err = registrar.WithOptions(Options{SkipWitness: true}).Consistent(context.Background())
+	res, err = registrar.WithSolveOptions(WithSkipWitness()).Consistent(context.Background())
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}

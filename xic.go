@@ -84,7 +84,6 @@
 package xic
 
 import (
-	"context"
 	"io"
 
 	"xic/internal/constraint"
@@ -134,26 +133,12 @@ type (
 	// Class identifies the paper's constraint classes.
 	Class = constraint.Class
 
-	// Options tunes the NP decision procedures (solver budget, witness
-	// size, witness skipping). New code should prefer SolveOptions with
-	// Spec.WithSolveOptions, which covers the solver knobs in one flat
-	// value; Options remains the carrier for witness-size limits and for
-	// the deprecated package-level helpers.
-	Options = core.Options
-
 	// Result is a consistency verdict with an optional witness document.
 	Result = core.Result
 
 	// Implication is an implication verdict with an optional
 	// counterexample document.
 	Implication = core.Implication
-
-	// Checker amortises per-DTD work across many checks against the same
-	// DTD.
-	//
-	// Deprecated: use Compile and Spec, which add eager compilation,
-	// context support and concurrency safety.
-	Checker = core.Checker
 
 	// Diagnosis explains an inconsistent specification with a minimal
 	// inconsistent core.
@@ -163,7 +148,7 @@ type (
 	// presolve decisions, fast-path hits, how much the presolve layer
 	// shrank the systems that reached branch-and-bound, how the simplex
 	// pivots split between the int64 fast tableau and the exact big.Rat
-	// kernel, and work-stealing activity of the parallel search.
+	// kernel, and work stealing among branch-and-bound workers.
 	SolveStats = core.SolveStats
 
 	// Validator checks documents for DTD conformance.
@@ -276,76 +261,6 @@ func SerializeDocument(t *Tree) string { return xmltree.Serialize(t) }
 // (Theorem 3.5(1)); linear time.
 func ConsistentDTD(d *DTD) bool { return core.ConsistentDTD(d) }
 
-// CheckConsistency decides whether some finite document conforms to the DTD
-// and satisfies every constraint, returning a verified witness document on
-// success. It is rebased onto the two-stage engine: a throwaway Schema is
-// compiled and the set bound to it, with compile-stage errors unwrapped to
-// their historical raw values.
-//
-// Deprecated: use Compile followed by Spec.Consistent, which amortises the
-// per-DTD work and accepts a context.
-func CheckConsistency(d *DTD, set []Constraint, opt *Options) (*Result, error) {
-	spec, err := legacySpec(d, set)
-	if err != nil {
-		return nil, err
-	}
-	if opt != nil {
-		spec = spec.WithOptions(*opt)
-	}
-	res, err := spec.Consistent(nil) // nil ctx is guarded in the engine
-	return res, unwrapStage(err)
-}
-
-// CheckImplication decides whether every document conforming to the DTD and
-// satisfying sigma also satisfies phi, returning a counterexample document
-// when not. Like CheckConsistency, it runs on a throwaway two-stage Schema.
-//
-// Deprecated: use Compile followed by Spec.Implies.
-func CheckImplication(d *DTD, sigma []Constraint, phi Constraint, opt *Options) (*Implication, error) {
-	spec, err := legacySpec(d, sigma)
-	if err != nil {
-		return nil, err
-	}
-	if opt != nil {
-		spec = spec.WithOptions(*opt)
-	}
-	imp, err := spec.Implies(nil, phi) // nil ctx is guarded in the engine
-	return imp, unwrapStage(err)
-}
-
-// ImpliesKey is the linear-time implication test for keys by keys
-// (Theorem 3.5(3)).
-//
-// Deprecated: use Compile followed by Spec.ImpliesKey.
-func ImpliesKey(d *DTD, sigma []Constraint, phi Key) (bool, error) {
-	return core.ImpliesKey(d, sigma, phi)
-}
-
-// NewChecker validates the DTD once for repeated checks against it.
-//
-// Deprecated: use Compile, which also builds the encoding template eagerly
-// and returns a Spec with context-aware, concurrency-safe methods.
-func NewChecker(d *DTD) (*Checker, error) { return core.NewChecker(d) }
-
-// ValidateDocument checks one concrete document dynamically: it must
-// conform to the DTD and satisfy every constraint. This is the validation
-// mode the paper contrasts with static consistency checking.
-//
-// Deprecated: use Compile followed by Spec.Validate, which reuses the
-// compiled conformance automata across documents.
-func ValidateDocument(doc *Tree, d *DTD, set []Constraint) error {
-	if err := xmltree.NewValidator(d).Validate(doc); err != nil {
-		return err
-	}
-	if err := constraint.ValidateSet(d, set); err != nil {
-		return err
-	}
-	if ok, violated := constraint.SatisfiedAll(doc, set); !ok {
-		return &ViolationError{Violated: violated}
-	}
-	return nil
-}
-
 // ClassOf returns the smallest of the paper's constraint classes containing
 // the set (C_K, C_{K,FK}, C^Unary_{K,FK}, C^Unary_{K,IC}, C^Unary_{K¬,IC},
 // C^Unary_{K¬,IC¬}).
@@ -358,34 +273,6 @@ func CheckPrimaryKeys(set []Constraint) error {
 		return &SpecError{Stage: "constraints", Err: err}
 	}
 	return nil
-}
-
-// Diagnose explains an inconsistent specification: it reports whether the
-// DTD alone is unsatisfiable, and otherwise returns a minimal subset of the
-// constraints that is still inconsistent with the DTD (removing any one
-// member restores consistency).
-//
-// Deprecated: use Compile followed by Spec.Diagnose, which reuses the
-// compiled encoding for all |Σ|+1 checks of the deletion filter.
-func Diagnose(d *DTD, set []Constraint, opt *Options) (*Diagnosis, error) {
-	return DiagnoseContext(nil, d, set, opt) // nil ctx is guarded in the engine
-}
-
-// DiagnoseContext is Diagnose under a context. Rebased, like the other
-// legacy helpers, onto a throwaway two-stage Schema whose compiled encoding
-// serves all |Σ|+1 checks of the deletion filter.
-//
-// Deprecated: use Compile followed by Spec.Diagnose.
-func DiagnoseContext(ctx context.Context, d *DTD, set []Constraint, opt *Options) (*Diagnosis, error) {
-	spec, err := legacySpec(d, set)
-	if err != nil {
-		return nil, err
-	}
-	if opt != nil {
-		spec = spec.WithOptions(*opt)
-	}
-	diag, err := spec.Diagnose(ctx)
-	return diag, unwrapStage(err)
 }
 
 // ConstraintsFromIDs derives the unary keys and foreign keys denoted by the

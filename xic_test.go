@@ -177,70 +177,3 @@ func TestConsistentDTDFacade(t *testing.T) {
 		t.Error("db → foo → foo … has no finite documents")
 	}
 }
-
-// TestDeprecatedFacade keeps the pre-Spec wrappers working: downstream
-// code compiled against the old flat API must keep getting the same
-// answers until it migrates.
-func TestDeprecatedFacade(t *testing.T) {
-	d, err := ParseDTD(teachersDTD)
-	if err != nil {
-		t.Fatalf("ParseDTD: %v", err)
-	}
-	sigma, err := ParseConstraints(sigma1)
-	if err != nil {
-		t.Fatalf("ParseConstraints: %v", err)
-	}
-
-	res, err := CheckConsistency(d, sigma, nil)
-	if err != nil {
-		t.Fatalf("CheckConsistency: %v", err)
-	}
-	if res.Consistent {
-		t.Error("CheckConsistency must still report Σ1 inconsistent")
-	}
-
-	imp, err := CheckImplication(d, sigma[:1], UnaryKey("teacher", "name"), nil)
-	if err != nil {
-		t.Fatalf("CheckImplication: %v", err)
-	}
-	if !imp.Implied {
-		t.Error("CheckImplication must still work")
-	}
-
-	c, err := NewChecker(d)
-	if err != nil {
-		t.Fatalf("NewChecker: %v", err)
-	}
-	res, err = c.Consistent(sigma, &Options{SkipWitness: true})
-	if err != nil {
-		t.Fatalf("Checker.Consistent: %v", err)
-	}
-	if res.Consistent {
-		t.Error("Σ1 must stay inconsistent through the Checker")
-	}
-
-	doc, err := ParseDocumentString(`
-<teachers>
-  <teacher name="Joe">
-    <teach>
-      <subject taught_by="a">XML</subject>
-      <subject taught_by="b">DB</subject>
-    </teach>
-    <research>Web DB</research>
-  </teacher>
-</teachers>`)
-	if err != nil {
-		t.Fatalf("ParseDocumentString: %v", err)
-	}
-	if err := ValidateDocument(doc, d, sigma[:2]); err != nil {
-		t.Errorf("ValidateDocument: %v", err)
-	}
-
-	diag, err := Diagnose(d, sigma, nil)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
-	if len(diag.Core) == 0 {
-		t.Error("Diagnose must still produce a core")
-	}
-}
