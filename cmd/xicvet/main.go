@@ -5,20 +5,16 @@
 //	xicvet ./...
 //	xicvet -list
 //	xicvet -tests -C /path/to/module ./internal/...
-//	xicvet -json ./... | jq .
 //
 // It exits 1 when any analyzer reports a finding, so CI can use it as a
 // blocking gate. Suppress a deliberate exception at the finding site with
 // an `//xic:ignore <analyzer> <reason>` comment; malformed directives
 // (unknown analyzer, missing reason) are themselves findings.
 //
-// -tests extends the analysis to _test.go files (CI runs with it on);
-// -json emits one JSON object per finding per line, for tooling; -nocache
-// bypasses the go-list result cache under os.UserCacheDir()/xicvet.
+// -tests extends the analysis to _test.go files (CI runs with it on).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,8 +37,6 @@ type Options struct {
 	Dir string
 	// Tests includes _test.go files in the analysis.
 	Tests bool
-	// NoCache bypasses the go-list result cache.
-	NoCache bool
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -51,8 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	dir := fs.String("C", ".", "run in this directory (the module to analyze)")
 	tests := fs.Bool("tests", false, "also analyze _test.go files")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON, one object per line")
-	nocache := fs.Bool("nocache", false, "bypass the go-list result cache")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -70,39 +62,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	diags, fromCache, err := Vet(Options{Dir: *dir, Tests: *tests, NoCache: *nocache}, patterns...)
+	diags, err := Vet(Options{Dir: *dir, Tests: *tests}, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "xicvet: %v\n", err)
 		return 2
 	}
-	// Surface the go-list cache outcome so CI logs show whether the
-	// persisted cache (see .github/workflows/ci.yml) actually paid off.
-	switch {
-	case *nocache:
-		fmt.Fprintln(stderr, "xicvet: go list cache bypassed (-nocache)")
-	case fromCache:
-		fmt.Fprintln(stderr, "xicvet: go list cache hit")
-	default:
-		fmt.Fprintln(stderr, "xicvet: go list cache miss")
-	}
-	enc := json.NewEncoder(stdout)
 	for _, d := range diags {
 		pos := d.Pos
 		if rel, err := filepath.Rel(*dir, pos.Filename); err == nil && filepath.IsAbs(pos.Filename) {
 			pos.Filename = rel
-		}
-		if *jsonOut {
-			if err := enc.Encode(jsonDiagnostic{
-				File:     pos.Filename,
-				Line:     pos.Line,
-				Col:      pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}); err != nil {
-				fmt.Fprintf(stderr, "xicvet: %v\n", err)
-				return 2
-			}
-			continue
 		}
 		fmt.Fprintf(stdout, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
 	}
@@ -113,27 +81,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// jsonDiagnostic is the -json wire form of one finding, one object per
-// line. The field set is pinned by TestJSONOutput and consumed by the
-// GitHub problem matcher in .github/xicvet-problem-matcher.json.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // Vet loads the packages matched by patterns and applies the whole suite:
 // every analyzer's Collect phase over every module package first (so
 // cross-package tables are complete), then Run over the packages the
 // patterns actually named, then a directive check that flags malformed
-// //xic:ignore comments. Diagnostics come back sorted by position. The
-// bool reports whether the go list step was served from the xicvet cache.
-func Vet(opts Options, patterns ...string) ([]analysis.Diagnostic, bool, error) {
-	prog, err := load.Load(load.Config{Dir: opts.Dir, Tests: opts.Tests, NoCache: opts.NoCache}, patterns...)
+// //xic:ignore comments. Diagnostics come back sorted by position.
+func Vet(opts Options, patterns ...string) ([]analysis.Diagnostic, error) {
+	prog, err := load.Load(load.Config{Dir: opts.Dir, Tests: opts.Tests}, patterns...)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	var diags []analysis.Diagnostic
@@ -147,7 +103,7 @@ func Vet(opts Options, patterns ...string) ([]analysis.Diagnostic, bool, error) 
 		for _, pkg := range prog.Packages {
 			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.Info, record)
 			if err := a.Collect(pass); err != nil {
-				return nil, prog.FromCache, fmt.Errorf("%s: collect %s: %v", a.Name, pkg.ImportPath, err)
+				return nil, fmt.Errorf("%s: collect %s: %v", a.Name, pkg.ImportPath, err)
 			}
 		}
 	}
@@ -158,7 +114,7 @@ func Vet(opts Options, patterns ...string) ([]analysis.Diagnostic, bool, error) 
 			}
 			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.Info, record)
 			if err := a.Run(pass); err != nil {
-				return nil, prog.FromCache, fmt.Errorf("%s: run %s: %v", a.Name, pkg.ImportPath, err)
+				return nil, fmt.Errorf("%s: run %s: %v", a.Name, pkg.ImportPath, err)
 			}
 		}
 	}
@@ -187,5 +143,5 @@ func Vet(opts Options, patterns ...string) ([]analysis.Diagnostic, bool, error) 
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, prog.FromCache, nil
+	return diags, nil
 }

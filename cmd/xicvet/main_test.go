@@ -11,11 +11,11 @@ import (
 	"testing"
 )
 
-// TestListsThirteenAnalyzers pins the registered suite: exactly the
-// thirteen documented analyzers, in order — the original five invariant
-// checkers, the concurrency pack, and the interprocedural pack built on
-// the call-graph/summary layer.
-func TestListsThirteenAnalyzers(t *testing.T) {
+// TestListsNineAnalyzers pins the registered suite: exactly the nine
+// documented analyzers, in order — the four invariant checkers, the two
+// lock analyzers, and the interprocedural analyzers built on the
+// call-graph/summary layer.
+func TestListsNineAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("xicvet -list exited %d: %s", code, stderr.String())
@@ -29,9 +29,9 @@ func TestListsThirteenAnalyzers(t *testing.T) {
 		names = append(names, name)
 	}
 	want := []string{
-		"ctxflow", "frozen", "ratalias", "atomicfield", "errtaxonomy",
-		"lockorder", "lockbalance", "goleak", "chandisc",
-		"hotalloc", "hotrecurse", "blockhold", "httpguard",
+		"ctxflow", "frozen", "ratalias", "errtaxonomy",
+		"lockorder", "lockbalance",
+		"hotalloc", "hotrecurse", "httpguard",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("got %d analyzers %v, want %v", len(names), names, want)
@@ -50,7 +50,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	diags, _, err := Vet(Options{Dir: "../..", Tests: true}, "./...")
+	diags, err := Vet(Options{Dir: "../..", Tests: true}, "./...")
 	if err != nil {
 		t.Fatalf("Vet: %v", err)
 	}
@@ -148,82 +148,6 @@ func BA() {
 	}
 }
 
-// TestSeededGoroutineLeakFails seeds a goroutine with no termination
-// signal and asserts the vet gate trips on it.
-func TestSeededGoroutineLeakFails(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := seedModule(t, `// Package seeded seeds a leaked goroutine.
-package seeded
-
-// Spawn starts a goroutine nothing can stop or await.
-func Spawn(work []int) {
-	go func() {
-		for range work {
-		}
-	}()
-}
-`)
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "goleak: goroutine has no termination signal") {
-		t.Fatalf("missing goleak finding in output:\n%s", stdout.String())
-	}
-}
-
-// TestJSONOutput pins the -json wire shape: one object per line with
-// file, line, col, analyzer, and message fields.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := seedModule(t, `// Package seeded seeds a leaked goroutine for the JSON test.
-package seeded
-
-// Spawn starts a goroutine nothing can stop or await.
-func Spawn() {
-	go func() {}()
-}
-`)
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "-json", "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no JSON output")
-	}
-	for _, line := range lines {
-		var d jsonDiagnostic
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("line %q is not a JSON diagnostic: %v", line, err)
-		}
-		if d.File == "" || d.Line <= 0 || d.Col <= 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("incomplete diagnostic %+v from line %q", d, line)
-		}
-		if filepath.IsAbs(d.File) {
-			t.Errorf("file %q should be relative to the -C directory", d.File)
-		}
-	}
-	found := false
-	for _, line := range lines {
-		var d jsonDiagnostic
-		if err := json.Unmarshal([]byte(line), &d); err == nil && d.Analyzer == "goleak" && d.File == "seed.go" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected a goleak diagnostic for seed.go, got:\n%s", stdout.String())
-	}
-}
-
 // TestMalformedDirectiveIsAFinding asserts the driver-level directive
 // check: naming an unknown analyzer or omitting the reason is itself a
 // finding, so dead suppressions cannot ship silently.
@@ -236,9 +160,9 @@ package seeded
 
 // A is fine on its own.
 func A() int {
-	//xic:ignore gofleak typo'd analyzer name
+	//xic:ignore frozn typo'd analyzer name
 	x := 1
-	//xic:ignore goleak
+	//xic:ignore frozen
 	return x
 }
 `)
@@ -249,7 +173,7 @@ func A() int {
 		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, `unknown analyzer "gofleak"`) {
+	if !strings.Contains(out, `unknown analyzer "frozn"`) {
 		t.Errorf("missing unknown-analyzer finding:\n%s", out)
 	}
 	if !strings.Contains(out, "has no reason and suppresses nothing") {
@@ -273,7 +197,6 @@ package seeded
 func A() int {
 	//xic:ignore hotalloc deliberate exception for the directive test
 	//xic:ignore hotrecurse deliberate exception for the directive test
-	//xic:ignore blockhold deliberate exception for the directive test
 	//xic:ignore httpguard deliberate exception for the directive test
 	//xic:ignore hotallocs typo'd new-analyzer name
 	return 1
@@ -289,7 +212,7 @@ func A() int {
 	if !strings.Contains(out, `unknown analyzer "hotallocs"`) {
 		t.Errorf("missing unknown-analyzer finding for the typo'd name:\n%s", out)
 	}
-	for _, name := range []string{"hotalloc", "hotrecurse", "blockhold", "httpguard"} {
+	for _, name := range []string{"hotalloc", "hotrecurse", "httpguard"} {
 		if strings.Contains(out, "unknown analyzer \""+name+"\"") {
 			t.Errorf("directive naming %s was rejected as unknown:\n%s", name, out)
 		}
@@ -354,7 +277,8 @@ func TestBA(t *testing.T) {
 // TestProblemMatcherMatchesOutput pins the contract between xicvet's
 // plain output and the GitHub problem matcher: every finding line must
 // match the committed regex, and the captured file/line/column/code/
-// message groups must agree with the -json fields for the same findings.
+// message groups must agree with the Diagnostic fields Vet returns for the
+// same findings.
 // A drift in either the output format or the matcher regex fails here
 // before it silently stops annotating PRs.
 func TestProblemMatcherMatchesOutput(t *testing.T) {
@@ -390,104 +314,66 @@ func TestProblemMatcherMatchesOutput(t *testing.T) {
 		t.Fatalf("matcher regexp does not compile: %v", err)
 	}
 
-	// Two findings from different analyzers on one line keeps the
-	// cross-check honest about ordering.
-	dir := seedModule(t, `// Package seeded seeds a goleak finding for the matcher test.
+	// Two findings from different analyzers keep the line-by-line
+	// pairing with Vet's sorted diagnostics honest.
+	dir := seedModule(t, `// Package seeded seeds a frozen and a ctxflow finding for the matcher test.
 package seeded
 
-// Spawn starts a goroutine nothing can stop or await.
-func Spawn() {
-	go func() {}()
-}
+import "context"
+
+// Config is published at startup.
+//
+// xic:frozen
+type Config struct{ N int }
+
+// New is the constructor.
+func New() *Config { return &Config{N: 1} }
+
+// Tweak mutates after publish.
+func Tweak(c *Config) { c.N = 2 }
+
+// Detached manufactures a context in library code.
+func Detached() context.Context { return context.Background() }
 `)
 
-	var plain, jsonOut, stderr bytes.Buffer
+	var plain, stderr bytes.Buffer
 	if code := run([]string{"-C", dir, "./..."}, &plain, &stderr); code != 1 {
 		t.Fatalf("plain run: exit %d\n%s", code, stderr.String())
 	}
-	if code := run([]string{"-C", dir, "-json", "./..."}, &jsonOut, &stderr); code != 1 {
-		t.Fatalf("json run: exit %d\n%s", code, stderr.String())
+	diags, err := Vet(Options{Dir: dir}, "./...")
+	if err != nil {
+		t.Fatalf("Vet: %v", err)
 	}
 
-	plainLines := strings.Split(strings.TrimSpace(plain.String()), "\n")
-	jsonLines := strings.Split(strings.TrimSpace(jsonOut.String()), "\n")
-	if len(plainLines) != len(jsonLines) {
-		t.Fatalf("plain output has %d lines, -json has %d", len(plainLines), len(jsonLines))
+	lines := strings.Split(strings.TrimSpace(plain.String()), "\n")
+	if len(lines) != len(diags) || len(diags) < 2 {
+		t.Fatalf("plain output has %d lines, Vet returned %d diagnostics (want at least 2):\n%s", len(lines), len(diags), plain.String())
 	}
-	for i, line := range plainLines {
+	for i, line := range lines {
 		groups := re.FindStringSubmatch(line)
 		if groups == nil {
 			t.Errorf("finding line does not match the problem matcher regex %q:\n%s", pat.Regexp, line)
 			continue
 		}
-		var d jsonDiagnostic
-		if err := json.Unmarshal([]byte(jsonLines[i]), &d); err != nil {
-			t.Fatalf("json line %q: %v", jsonLines[i], err)
+		d := diags[i]
+		file, err := filepath.Rel(dir, d.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if groups[pat.File] != d.File {
-			t.Errorf("matcher file = %q, json file = %q (line %s)", groups[pat.File], d.File, line)
+		if groups[pat.File] != file {
+			t.Errorf("matcher file = %q, diagnostic file = %q (line %s)", groups[pat.File], file, line)
 		}
-		if groups[pat.Line] != strconv.Itoa(d.Line) {
-			t.Errorf("matcher line = %q, json line = %d (line %s)", groups[pat.Line], d.Line, line)
+		if groups[pat.Line] != strconv.Itoa(d.Pos.Line) {
+			t.Errorf("matcher line = %q, diagnostic line = %d (line %s)", groups[pat.Line], d.Pos.Line, line)
 		}
-		if groups[pat.Column] != strconv.Itoa(d.Col) {
-			t.Errorf("matcher column = %q, json col = %d (line %s)", groups[pat.Column], d.Col, line)
+		if groups[pat.Column] != strconv.Itoa(d.Pos.Column) {
+			t.Errorf("matcher column = %q, diagnostic column = %d (line %s)", groups[pat.Column], d.Pos.Column, line)
 		}
 		if groups[pat.Code] != d.Analyzer {
-			t.Errorf("matcher code = %q, json analyzer = %q (line %s)", groups[pat.Code], d.Analyzer, line)
+			t.Errorf("matcher code = %q, diagnostic analyzer = %q (line %s)", groups[pat.Code], d.Analyzer, line)
 		}
 		if groups[pat.Message] != d.Message {
-			t.Errorf("matcher message = %q, json message = %q (line %s)", groups[pat.Message], d.Message, line)
+			t.Errorf("matcher message = %q, diagnostic message = %q (line %s)", groups[pat.Message], d.Message, line)
 		}
-	}
-}
-
-// TestCacheRoundTrip exercises the go-list cache: a second identical run
-// must be served from the cache, a -nocache run must not touch it, and
-// the cached result must agree with the live one.
-func TestCacheRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := seedModule(t, `// Package seeded seeds a leaked goroutine for the cache test.
-package seeded
-
-// Spawn starts a goroutine nothing can stop or await.
-func Spawn() {
-	go func() {}()
-}
-`)
-	cacheDir := t.TempDir()
-	t.Setenv("XDG_CACHE_HOME", cacheDir)
-
-	var first, second, third bytes.Buffer
-	var firstErr, secondErr, thirdErr bytes.Buffer
-	if code := run([]string{"-C", dir, "./..."}, &first, &firstErr); code != 1 {
-		t.Fatalf("first run: exit %d\n%s", code, firstErr.String())
-	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "xicvet", "*.json"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entry written under %s (err=%v)", cacheDir, err)
-	}
-	if !strings.Contains(firstErr.String(), "go list cache miss") {
-		t.Errorf("first run should log a cache miss, got stderr:\n%s", firstErr.String())
-	}
-	if code := run([]string{"-C", dir, "./..."}, &second, &secondErr); code != 1 {
-		t.Fatalf("second run: exit %d\n%s", code, secondErr.String())
-	}
-	if first.String() != second.String() {
-		t.Errorf("cached run disagrees with live run:\n--- live\n%s--- cached\n%s", first.String(), second.String())
-	}
-	if !strings.Contains(secondErr.String(), "go list cache hit") {
-		t.Errorf("second run should log a cache hit, got stderr:\n%s", secondErr.String())
-	}
-	if code := run([]string{"-C", dir, "-nocache", "./..."}, &third, &thirdErr); code != 1 {
-		t.Fatalf("nocache run: exit %d\n%s", code, thirdErr.String())
-	}
-	if first.String() != third.String() {
-		t.Errorf("-nocache run disagrees:\n--- live\n%s--- nocache\n%s", first.String(), third.String())
-	}
-	if !strings.Contains(thirdErr.String(), "go list cache bypassed") {
-		t.Errorf("-nocache run should log the bypass, got stderr:\n%s", thirdErr.String())
 	}
 }

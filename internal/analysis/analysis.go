@@ -29,8 +29,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"xic/internal/analysis/cfg"
 )
 
 // Analyzer is one xicvet checker.
@@ -71,7 +69,6 @@ type Pass struct {
 
 	suppress *Suppressions
 	report   func(Diagnostic)
-	graphs   map[*ast.BlockStmt]*cfg.Graph
 }
 
 // NewPass assembles a Pass. report receives every non-suppressed
@@ -88,26 +85,9 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	}
 }
 
-// CFG returns the control-flow graph of a function body belonging to this
-// pass's package, memoized per Pass so an analyzer visiting the same body
-// from several angles builds it once. See package cfg for the graph shape
-// and the Forward dataflow solver.
-func (p *Pass) CFG(body *ast.BlockStmt) *cfg.Graph {
-	if g, ok := p.graphs[body]; ok {
-		return g
-	}
-	if p.graphs == nil {
-		p.graphs = make(map[*ast.BlockStmt]*cfg.Graph)
-	}
-	g := cfg.New(body, p.Info)
-	p.graphs[body] = g
-	return g
-}
-
-// InTestFile reports whether pos lies in a _test.go file. Several
-// analyzers relax their invariants for test code (manufactured contexts
-// and raw goroutines are idiomatic there), which only matters when the
-// loader runs with test files included.
+// InTestFile reports whether pos lies in a _test.go file. ctxflow relaxes
+// its invariant for test code (manufactured contexts are idiomatic there),
+// which only matters when the loader runs with test files included.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

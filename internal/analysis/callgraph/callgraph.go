@@ -1,7 +1,7 @@
 // Package callgraph builds a type-based call graph of the module for the
-// interprocedural analyzers (hotalloc, hotrecurse, blockhold, httpguard).
-// It is deliberately simple — no points-to analysis — but sound enough for
-// the vet gates it powers:
+// interprocedural analyzers (hotalloc, hotrecurse, httpguard). It is
+// deliberately simple — no points-to analysis — but sound enough for the
+// vet gates it powers:
 //
 //   - Direct calls (functions and methods with a static callee) produce an
 //     edge when the callee is declared in one of the added packages.
@@ -13,10 +13,9 @@
 //     enclosing declared function, matching how the analyzers attribute
 //     findings. Literals in package-level initializers have no enclosing
 //     function and are dropped.
-//   - Calls through plain func values (parameters, fields) stay unresolved;
-//     Node.DynamicCalls counts them so clients can choose how pessimistic
-//     to be. Calls to functions outside the added packages are recorded in
-//     Node.External for summary heuristics (e.g. "fmt allocates").
+//   - Calls through plain func values (parameters, fields) and calls to
+//     functions outside the added packages produce no edge; package
+//     summary classifies external callees itself (e.g. "fmt allocates").
 //
 // Finalize condenses the graph into strongly connected components (Tarjan)
 // in reverse topological order — callees before callers — which is exactly
@@ -25,7 +24,6 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"xic/internal/analysis/lockset"
@@ -38,32 +36,15 @@ type Node struct {
 	// Bodies is the declared body plus every function literal lexically
 	// inside it, each visited once.
 	Bodies []*ast.BlockStmt
-	Pkg    *types.Package
 	Info   *types.Info
-	Fset   *token.FileSet
 
 	// Calls are the resolved in-module callees (direct and via interface).
 	Calls []Edge
-	// External are static callees declared outside the added packages.
-	External []ExternalCall
-	// DynamicCalls counts calls through func values that could not be
-	// resolved to any callee.
-	DynamicCalls int
 }
 
 // Edge is one resolved call site.
 type Edge struct {
 	Callee *Node
-	Site   *ast.CallExpr
-	// ViaInterface marks edges produced by method-set resolution, where
-	// the callee is one of several possible dynamic targets.
-	ViaInterface bool
-}
-
-// ExternalCall is a call whose static callee lives outside the module.
-type ExternalCall struct {
-	Callee *types.Func
-	Site   *ast.CallExpr
 }
 
 // Graph is the finalized call graph.
@@ -106,7 +87,6 @@ func (g *Graph) Recursive(n *Node) bool {
 // ifaceSite is an interface-method call awaiting method-set resolution.
 type ifaceSite struct {
 	caller *Node
-	site   *ast.CallExpr
 	iface  *types.Interface
 	method string
 }
@@ -125,7 +105,6 @@ type Builder struct {
 
 type directSite struct {
 	caller *Node
-	site   *ast.CallExpr
 	callee *types.Func
 }
 
@@ -137,13 +116,9 @@ func NewBuilder() *Builder {
 	}
 }
 
-// Added reports whether this exact package (by identity, not path — test
-// variants re-typecheck into distinct *types.Package values) was added.
-func (b *Builder) Added(pkg *types.Package) bool { return b.added[pkg] }
-
 // AddPackage registers one type-checked package's functions and call
 // sites. Adding the same *types.Package twice is a no-op.
-func (b *Builder) AddPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) {
+func (b *Builder) AddPackage(files []*ast.File, pkg *types.Package, info *types.Info) {
 	if b.added[pkg] {
 		return
 	}
@@ -172,7 +147,7 @@ func (b *Builder) AddPackage(fset *token.FileSet, files []*ast.File, pkg *types.
 			if !ok {
 				continue
 			}
-			n := &Node{Func: fn, Decl: fd, Pkg: pkg, Info: info, Fset: fset}
+			n := &Node{Func: fn, Decl: fd, Info: info}
 			n.Bodies = append(n.Bodies, fd.Body)
 			ast.Inspect(fd.Body, func(x ast.Node) bool {
 				if lit, ok := x.(*ast.FuncLit); ok {
@@ -210,17 +185,15 @@ func (b *Builder) collectCalls(n *Node, body *ast.BlockStmt) {
 				if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
 					fn, _ := n.Info.Uses[sel.Sel].(*types.Func)
 					if fn != nil {
-						b.sites = append(b.sites, ifaceSite{caller: n, site: call, iface: iface, method: fn.Name()})
+						b.sites = append(b.sites, ifaceSite{caller: n, iface: iface, method: fn.Name()})
 					}
 					return
 				}
 			}
 		}
 		if fn := lockset.Callee(n.Info, call); fn != nil {
-			b.direct = append(b.direct, directSite{caller: n, site: call, callee: fn})
-			return
+			b.direct = append(b.direct, directSite{caller: n, callee: fn})
 		}
-		n.DynamicCalls++
 	})
 }
 
@@ -231,14 +204,11 @@ func (b *Builder) Finalize() *Graph {
 
 	for _, d := range b.direct {
 		if callee, ok := b.nodes[d.callee]; ok {
-			d.caller.Calls = append(d.caller.Calls, Edge{Callee: callee, Site: d.site})
-		} else {
-			d.caller.External = append(d.caller.External, ExternalCall{Callee: d.callee, Site: d.site})
+			d.caller.Calls = append(d.caller.Calls, Edge{Callee: callee})
 		}
 	}
 
 	for _, s := range b.sites {
-		resolved := false
 		for _, named := range b.named {
 			var impl types.Type = named
 			if !types.Implements(impl, s.iface) {
@@ -256,14 +226,8 @@ func (b *Builder) Finalize() *Graph {
 				continue
 			}
 			if callee, ok := b.nodes[fn]; ok {
-				s.caller.Calls = append(s.caller.Calls, Edge{Callee: callee, Site: s.site, ViaInterface: true})
-				resolved = true
+				s.caller.Calls = append(s.caller.Calls, Edge{Callee: callee})
 			}
-		}
-		if !resolved {
-			// No in-module implementation: the dynamic callee is external
-			// (or an unexported mock); treat like a dynamic call.
-			s.caller.DynamicCalls++
 		}
 	}
 

@@ -59,7 +59,7 @@ func NewShared(sh *summary.Shared) *analysis.Analyzer {
 }
 
 func (h *hotalloc) collect(pass *analysis.Pass) error {
-	h.sh.Add(pass.Fset, pass.Files, pass.Pkg, pass.Info)
+	h.sh.Add(pass.Files, pass.Pkg, pass.Info)
 	marks := hotpath.Scan(pass.Fset, pass.Files)
 	for _, fd := range marks.Funcs {
 		if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {

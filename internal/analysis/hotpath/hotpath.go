@@ -26,9 +26,6 @@ import (
 	"strings"
 )
 
-// Directive is the marker comment.
-const Directive = "//xic:hotpath"
-
 // Marks are the hot regions of one package's files.
 type Marks struct {
 	// Funcs are declarations whose whole body is hot.

@@ -38,7 +38,7 @@ func NewShared(sh *summary.Shared) *analysis.Analyzer {
 }
 
 func (h *hotrecurse) collect(pass *analysis.Pass) error {
-	h.sh.Add(pass.Fset, pass.Files, pass.Pkg, pass.Info)
+	h.sh.Add(pass.Files, pass.Pkg, pass.Info)
 	return nil
 }
 

@@ -36,6 +36,7 @@ import (
 	"go/types"
 
 	"xic/internal/analysis"
+	"xic/internal/analysis/cfg"
 	"xic/internal/analysis/lockset"
 	"xic/internal/analysis/summary"
 )
@@ -61,7 +62,7 @@ func NewShared(sh *summary.Shared) *analysis.Analyzer {
 }
 
 func (h *httpguard) collect(pass *analysis.Pass) error {
-	h.sh.Add(pass.Fset, pass.Files, pass.Pkg, pass.Info)
+	h.sh.Add(pass.Files, pass.Pkg, pass.Info)
 	return nil
 }
 
@@ -146,7 +147,7 @@ func (h *httpguard) run(pass *analysis.Pass) error {
 
 // checkStatusPaths runs the path-sensitive status count over one handler.
 func (h *httpguard) checkStatusPaths(pass *analysis.Pass, facts *summary.Set, hd handler) {
-	res := summary.AnalyzeStatus(pass.Info, pass.CFG(hd.body), hd.w, facts.StatusOf)
+	res := summary.AnalyzeStatus(pass.Info, cfg.New(hd.body, pass.Info), hd.w, facts.StatusOf)
 	for _, d := range res.Doubles {
 		pass.Reportf(d.Pos, "handler may write a second status code here (%s); every path must write exactly one", d.What)
 	}

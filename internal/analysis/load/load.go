@@ -19,19 +19,10 @@
 // same finding twice, and each variant's ImportMap is honored during type
 // checking so a test package importing p resolves to the augmented
 // variant, exactly as the go tool builds it.
-//
-// The go list invocation dominates a warm xicvet run, so its JSON output
-// is cached under os.UserCacheDir()/xicvet keyed by the go version, the
-// flags, the patterns, and the content of go.mod/go.sum and every .go file
-// beneath the module root. A hit is revalidated by checking that every
-// export-data file it names still exists (the build cache may have been
-// trimmed since); Config.NoCache bypasses the cache entirely.
 package load
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -40,7 +31,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,23 +46,14 @@ type Config struct {
 	// loaded as their test variants, and external _test packages are loaded
 	// too.
 	Tests bool
-	// NoCache disables the go-list result cache for this load.
-	NoCache bool
-	// CacheDir overrides the cache location (default:
-	// os.UserCacheDir()/xicvet).
-	CacheDir string
 }
 
-// Package is one loaded package. Syntax, Types and Info are populated only
-// for packages in the main module; dependencies outside it are imported
-// from export data and carry types through the importer instead.
+// Package is one module package, type-checked from source; dependencies
+// outside the module are imported from export data and carry types
+// through the importer instead.
 type Package struct {
 	ImportPath string
-	Dir        string
-	Name       string
-	Standard   bool // part of the standard library
 	DepOnly    bool // reached only as a dependency, not named by a pattern
-	Module     bool // in the main module (type-checked from source)
 	ForTest    string
 	GoFiles    []string
 
@@ -86,9 +67,6 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// FromCache reports that the go list step was served from the xicvet
-	// cache rather than a live go tool invocation.
-	FromCache bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -96,31 +74,20 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	Name       string
-	Standard   bool
 	DepOnly    bool
 	ForTest    string
 	Export     string
 	GoFiles    []string
 	Imports    []string
 	ImportMap  map[string]string
-	Module     *struct {
-		Path string
-		Main bool
-	}
-}
-
-// Packages loads the packages matched by patterns (plus their
-// dependencies), running the go tool in dir, without test files. It is
-// Load with a zero Config.
-func Packages(dir string, patterns ...string) (*Program, error) {
-	return Load(Config{Dir: dir}, patterns...)
+	Module     *struct{ Main bool }
 }
 
 // Load loads the packages matched by patterns (plus their dependencies)
 // according to cfg. Module packages are type-checked from source; a type
 // error in any of them fails the load, matching vet semantics.
 func Load(cfg Config, patterns ...string) (*Program, error) {
-	listed, fromCache, err := listPackages(cfg, patterns)
+	listed, err := listPackages(cfg, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +125,7 @@ func Load(cfg Config, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 
-	prog := &Program{Fset: fset, FromCache: fromCache}
+	prog := &Program{Fset: fset}
 	for _, path := range order {
 		lp := byPath[path]
 		pkg, err := checkFromSource(fset, lp, imp.forPackage(lp))
@@ -183,9 +150,8 @@ func basePath(importPath string) string {
 	return base
 }
 
-// listPackages obtains the `go list -export -json -deps` output for the
-// load, from the cache when possible.
-func listPackages(cfg Config, patterns []string) ([]*listedPackage, bool, error) {
+// listPackages runs `go list -export -json -deps` for the load.
+func listPackages(cfg Config, patterns []string) ([]*listedPackage, error) {
 	args := []string{"list", "-export", "-json", "-deps"}
 	if cfg.Tests {
 		args = append(args, "-test")
@@ -193,39 +159,15 @@ func listPackages(cfg Config, patterns []string) ([]*listedPackage, bool, error)
 	args = append(args, "--")
 	args = append(args, patterns...)
 
-	cachePath := ""
-	if !cfg.NoCache {
-		if key, err := cacheKey(cfg, args); err == nil {
-			cachePath = key
-			if raw, err := os.ReadFile(cachePath); err == nil {
-				if listed, err := decodeList(raw); err == nil && exportsExist(listed) {
-					return listed, true, nil
-				}
-				// Stale or corrupt: fall through to a live run, which
-				// rewrites the entry.
-			}
-		}
-	}
-
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, false, fmt.Errorf("load: go list %v: %v\n%s", patterns, err, stderr.Bytes())
+		return nil, fmt.Errorf("load: go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
-	listed, err := decodeList(stdout.Bytes())
-	if err != nil {
-		return nil, false, err
-	}
-	if cachePath != "" {
-		if err := os.MkdirAll(filepath.Dir(cachePath), 0o755); err == nil {
-			// Best effort: an unwritable cache never fails the load.
-			_ = os.WriteFile(cachePath, stdout.Bytes(), 0o644)
-		}
-	}
-	return listed, false, nil
+	return decodeList(stdout.Bytes())
 }
 
 // decodeList decodes a stream of go list JSON package objects.
@@ -242,102 +184,6 @@ func decodeList(raw []byte) ([]*listedPackage, error) {
 		out = append(out, lp)
 	}
 	return out, nil
-}
-
-// exportsExist revalidates a cache hit: every export-data file the cached
-// listing names must still be present, or the listing is stale (the go
-// build cache may have been trimmed since it was written).
-func exportsExist(listed []*listedPackage) bool {
-	for _, lp := range listed {
-		if lp.Export == "" {
-			continue
-		}
-		if _, err := os.Stat(lp.Export); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// cacheKey computes the cache file path for a load: a content hash over
-// everything that can change the go list result — the toolchain
-// environment (go version, GOFLAGS, GOOS, GOARCH — a cross-compile or a
-// build-tag change produces different export data from identical
-// sources), the Tests setting, the exact argument list, go.mod/go.sum,
-// and the name and content of every .go file under the module root.
-func cacheKey(cfg Config, args []string) (string, error) {
-	dir := cfg.CacheDir
-	if dir == "" {
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return "", err
-		}
-		dir = filepath.Join(base, "xicvet")
-	}
-
-	h := sha256.New()
-	// The listing embeds absolute paths, so the module's location is part
-	// of the key: two modules with identical content in different
-	// directories (say, successive t.TempDir() runs) must not share an
-	// entry.
-	abs, err := filepath.Abs(cfg.Dir)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(h, "dir %q\n", abs)
-	// Tests also shapes the argument list (-test), but fold it explicitly:
-	// the key must not silently collapse if the argument spelling changes.
-	fmt.Fprintf(h, "tests %v\n", cfg.Tests)
-	env := exec.Command("go", "env", "GOVERSION", "GOFLAGS", "GOOS", "GOARCH")
-	env.Dir = cfg.Dir
-	out, err := env.Output()
-	if err != nil {
-		return "", fmt.Errorf("load: go env: %v", err)
-	}
-	h.Write(out)
-	for _, a := range args {
-		fmt.Fprintf(h, "arg %q\n", a)
-	}
-	for _, name := range []string{"go.mod", "go.sum"} {
-		data, err := os.ReadFile(filepath.Join(cfg.Dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return "", err
-		}
-		fmt.Fprintf(h, "file %q %x\n", name, sha256.Sum256(data))
-	}
-	err = filepath.WalkDir(cfg.Dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// Skip hidden directories, but never the walk root itself (whose
-			// name may be "." or ".." depending on how Dir was spelled).
-			if path != cfg.Dir && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(cfg.Dir, path)
-		if err != nil {
-			rel = path
-		}
-		fmt.Fprintf(h, "file %q %x\n", rel, sha256.Sum256(data))
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, hex.EncodeToString(h.Sum(nil))+".json"), nil
 }
 
 // exportLookup resolves import paths to export-data readers for the gc
@@ -441,12 +287,8 @@ func topoSort(paths []string, byPath map[string]*listedPackage) ([]string, error
 func checkFromSource(fset *token.FileSet, lp *listedPackage, imp types.Importer) (*Package, error) {
 	pkg := &Package{
 		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Name:       lp.Name,
-		Standard:   lp.Standard,
 		DepOnly:    lp.DepOnly,
 		ForTest:    lp.ForTest,
-		Module:     true,
 	}
 	for _, f := range lp.GoFiles {
 		pkg.GoFiles = append(pkg.GoFiles, filepath.Join(lp.Dir, f))
@@ -504,7 +346,7 @@ func CheckFiles(fset *token.FileSet, path string, files []*ast.File, imp types.I
 func StdImporter(fset *token.FileSet, dir string, roots []string) (types.Importer, error) {
 	exports := make(map[string]string, len(roots))
 	if len(roots) > 0 {
-		listed, _, err := listPackages(Config{Dir: dir, NoCache: true}, roots)
+		listed, err := listPackages(Config{Dir: dir}, roots)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package load_test
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -73,7 +72,7 @@ func TestLoadWithoutTests(t *testing.T) {
 		t.Skip("shells out to the go tool")
 	}
 	dir := writeModule(t)
-	prog, err := load.Load(load.Config{Dir: dir, NoCache: true}, "./...")
+	prog, err := load.Load(load.Config{Dir: dir}, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestLoadWithTests(t *testing.T) {
 		t.Skip("shells out to the go tool")
 	}
 	dir := writeModule(t)
-	prog, err := load.Load(load.Config{Dir: dir, Tests: true, NoCache: true}, "./...")
+	prog, err := load.Load(load.Config{Dir: dir, Tests: true}, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,116 +145,6 @@ func TestLoadWithTests(t *testing.T) {
 
 	if _, ok := byPath["tiny/a_test [tiny/a.test]"]; !ok {
 		t.Errorf("external test package missing; loaded %v", keys(byPath))
-	}
-}
-
-// TestCacheHitAndInvalidation exercises the go-list cache directly: the
-// second identical load is served from cache, and editing a source file
-// changes the key, forcing a fresh run.
-func TestCacheHitAndInvalidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := writeModule(t)
-	cache := t.TempDir()
-	cfg := load.Config{Dir: dir, CacheDir: cache}
-
-	first, err := load.Load(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.FromCache {
-		t.Error("first load claims to be cached")
-	}
-	second, err := load.Load(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.FromCache {
-		t.Error("second identical load was not served from cache")
-	}
-	if len(second.Packages) != len(first.Packages) {
-		t.Errorf("cached load found %d packages, live load %d", len(second.Packages), len(first.Packages))
-	}
-
-	// Appending a declaration changes the module content hash: the stale
-	// entry must not be reused.
-	path := filepath.Join(dir, "b", "b.go")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src = append(src, []byte("\n// C is new.\nfunc C() int { return 3 }\n")...)
-	if err := os.WriteFile(path, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	third, err := load.Load(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.FromCache {
-		t.Error("load after a source edit was served from the stale cache entry")
-	}
-
-	// NoCache must bypass reads even when a fresh entry exists.
-	fourth, err := load.Load(load.Config{Dir: dir, CacheDir: cache, NoCache: true}, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fourth.FromCache {
-		t.Error("-nocache load was served from cache")
-	}
-}
-
-// TestCacheKeyInputs pins the invalidation surface of the go-list cache
-// key: toggling Tests, or changing GOFLAGS/GOOS/GOARCH (all of which
-// change go list's export output for identical sources), must move the
-// key, and an unchanged configuration must not.
-func TestCacheKeyInputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := writeModule(t)
-	cfg := load.Config{Dir: dir, CacheDir: t.TempDir()}
-	args := []string{"list", "-export", "-json", "-deps", "--", "./..."}
-
-	key := func() string {
-		t.Helper()
-		k, err := load.CacheKey(cfg, args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-
-	base := key()
-	if again := key(); again != base {
-		t.Errorf("key is not stable across identical calls:\n%s\n%s", base, again)
-	}
-
-	testsCfg := cfg
-	testsCfg.Tests = true
-	if k, err := load.CacheKey(testsCfg, args); err != nil {
-		t.Fatal(err)
-	} else if k == base {
-		t.Error("Tests=true shares a cache key with Tests=false")
-	}
-
-	otherArch := "arm64"
-	if runtime.GOARCH == "arm64" {
-		otherArch = "amd64"
-	}
-	for _, env := range []struct{ name, value string }{
-		{"GOFLAGS", "-tags=xiccachekeytest"},
-		{"GOOS", "plan9"},
-		{"GOARCH", otherArch},
-	} {
-		t.Run(env.name, func(t *testing.T) {
-			t.Setenv(env.name, env.value)
-			if k := key(); k == base {
-				t.Errorf("%s=%s shares a cache key with the default environment", env.name, env.value)
-			}
-		})
 	}
 }
 

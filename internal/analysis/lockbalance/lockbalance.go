@@ -283,7 +283,7 @@ func displayName(ev lockset.Event) string {
 
 func run(pass *analysis.Pass) error {
 	lockset.Bodies(pass.Info, pass.Files, func(body *ast.BlockStmt, _ *types.Func) {
-		g := pass.CFG(body)
+		g := cfg.New(body, pass.Info)
 		in, _ := cfg.Forward(g, newState(), join, equal,
 			func(b *cfg.Block, s state) state {
 				return step(pass.Info, b, s, false, body.Rbrace, hooks{})

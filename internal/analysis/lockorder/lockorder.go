@@ -151,7 +151,7 @@ func step(info *types.Info, b *cfg.Block, in state, h hooks) state {
 
 // analyze runs the must-held fixpoint over body and replays it with hooks.
 func analyze(pass *analysis.Pass, body *ast.BlockStmt, h hooks) {
-	g := pass.CFG(body)
+	g := cfg.New(body, pass.Info)
 	in, _ := cfg.Forward(g, state{}, join, equal,
 		func(b *cfg.Block, s state) state { return step(pass.Info, b, s, hooks{}) })
 	for _, b := range g.Blocks {

@@ -1,7 +1,7 @@
 // Package lockset is the shared vocabulary of the lock analyzers
-// (lockorder, lockbalance) and the channel-discipline analyzer (chandisc):
-// it recognizes sync.Mutex/sync.RWMutex method calls and canonicalizes the
-// expression they are called on into a *lock class*.
+// (lockorder, lockbalance): it recognizes sync.Mutex/sync.RWMutex method
+// calls and canonicalizes the expression they are called on into a *lock
+// class*.
 //
 // A class is a types.Object chosen so that the "same lock" in the
 // lockdep sense maps to the same object across functions and packages:
@@ -126,7 +126,7 @@ func MutexOp(info *types.Info, call *ast.CallExpr) (Event, bool) {
 
 // classOfReceiver canonicalizes the receiver of a method selection. When
 // the method is promoted from an embedded Mutex, the class is the embedded
-// field the selection traverses; otherwise it is ClassOf of the receiver
+// field the selection traverses; otherwise it is classOf of the receiver
 // expression.
 func classOfReceiver(info *types.Info, sel *ast.SelectorExpr) (types.Object, string, bool) {
 	if s, ok := info.Selections[sel]; ok {
@@ -148,14 +148,14 @@ func classOfReceiver(info *types.Info, sel *ast.SelectorExpr) (types.Object, str
 			}
 		}
 	}
-	return ClassOf(info, sel.X)
+	return classOf(info, sel.X)
 }
 
-// ClassOf canonicalizes a lock- or channel-valued expression into its
-// class object: the final struct field of a selector chain, a package
-// var, or a local var. Expressions whose identity cannot be pinned down
-// (results of calls, map index of interface, ...) return ok=false.
-func ClassOf(info *types.Info, expr ast.Expr) (types.Object, string, bool) {
+// classOf canonicalizes a lock-valued expression into its class object:
+// the final struct field of a selector chain, a package var, or a local
+// var. Expressions whose identity cannot be pinned down (results of calls,
+// map index of interface, ...) return ok=false.
+func classOf(info *types.Info, expr ast.Expr) (types.Object, string, bool) {
 	display := types.ExprString(ast.Unparen(expr))
 	e := ast.Unparen(expr)
 	for {

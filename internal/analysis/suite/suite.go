@@ -5,13 +5,9 @@ package suite
 
 import (
 	"xic/internal/analysis"
-	"xic/internal/analysis/atomicfield"
-	"xic/internal/analysis/blockhold"
-	"xic/internal/analysis/chandisc"
 	"xic/internal/analysis/ctxflow"
 	"xic/internal/analysis/errtaxonomy"
 	"xic/internal/analysis/frozen"
-	"xic/internal/analysis/goleak"
 	"xic/internal/analysis/hotalloc"
 	"xic/internal/analysis/hotrecurse"
 	"xic/internal/analysis/httpguard"
@@ -21,11 +17,11 @@ import (
 	"xic/internal/analysis/summary"
 )
 
-// Analyzers returns the full xicvet suite in reporting order: the original
-// five invariant checkers, the concurrency pack built on the CFG/dataflow
-// layer (see internal/analysis/cfg), and the interprocedural pack built on
-// the call-graph/summary layer (see internal/analysis/callgraph and
-// internal/analysis/summary). The interprocedural analyzers share one
+// Analyzers returns the full xicvet suite in reporting order: the four
+// invariant checkers, the two lock analyzers built on the CFG/dataflow
+// layer (see internal/analysis/cfg), and the interprocedural analyzers
+// built on the call-graph/summary layer (see internal/analysis/callgraph
+// and internal/analysis/summary). The interprocedural analyzers share one
 // summary.Shared so the module's call graph is built and solved once per
 // run, not once per analyzer.
 func Analyzers() []*analysis.Analyzer {
@@ -34,15 +30,11 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.New(),
 		frozen.New(),
 		ratalias.New(),
-		atomicfield.New(),
 		errtaxonomy.New(),
 		lockorder.New(),
 		lockbalance.New(),
-		goleak.New(),
-		chandisc.New(),
 		hotalloc.NewShared(sh),
 		hotrecurse.NewShared(sh),
-		blockhold.NewShared(sh),
 		httpguard.NewShared(sh),
 	}
 }

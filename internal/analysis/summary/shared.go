@@ -8,7 +8,6 @@ package summary
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"xic/internal/analysis/callgraph"
@@ -30,11 +29,11 @@ func NewShared() *Shared {
 // again (another analyzer's Collect pass) is a no-op. Test-variant
 // packages re-typecheck the same sources into a distinct *types.Package;
 // both are added, so edge resolution works in either object world.
-func (s *Shared) Add(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) {
+func (s *Shared) Add(files []*ast.File, pkg *types.Package, info *types.Info) {
 	if s.graph != nil {
 		return // resolved: late adds (not a driver scenario) are dropped
 	}
-	s.builder.AddPackage(fset, files, pkg, info)
+	s.builder.AddPackage(files, pkg, info)
 }
 
 // Resolve finalizes the graph and computes summaries, once; later calls

@@ -1,10 +1,10 @@
 // Package summary computes per-function facts over the callgraph for the
-// interprocedural analyzers: does a function allocate on the heap, can it
-// block, how many HTTP status codes does it write, and does it reach
-// context-taking module calls. Facts are solved bottom-up over the SCC
-// condensation (callees before callers), iterating inside each component
-// until recursion stabilizes, so a caller's fact always sees its callees'
-// final facts.
+// interprocedural analyzers: does a function allocate on the heap, how
+// many HTTP status codes does it write, and does it reach context-taking
+// module calls. Facts are solved bottom-up over the SCC condensation
+// (callees before callers), iterating inside each component until
+// recursion stabilizes, so a caller's fact always sees its callees' final
+// facts.
 //
 // The fact model is deliberately calibrated for the vet gates, not for
 // escape-analysis truth:
@@ -17,12 +17,6 @@
 //     big.NewInt/NewRat constructors are. Unknown external calls and
 //     dynamic func-value calls are assumed clean: the hot-path contract is
 //     about the module's own allocation discipline.
-//
-//   - Blocking: channel operations, select without default, WaitGroup.Wait,
-//     time.Sleep. Mutex Lock is deliberately excluded — it is
-//     lockorder/lockbalance territory, and nearly every function would
-//     otherwise count as blocking — and so is Cond.Wait, which atomically
-//     releases the mutex it coordinates.
 //
 //   - Status writes: for functions with an http.ResponseWriter parameter, a
 //     path-sensitive count of status writes (explicit WriteHeader plus the
@@ -60,20 +54,6 @@ const (
 	WritesMaybe
 )
 
-func (w WriteStatus) String() string {
-	switch w {
-	case WritesNever:
-		return "never"
-	case WritesAlways:
-		return "always"
-	case WritesOnFalse:
-		return "on-false"
-	case WritesOnTrue:
-		return "on-true"
-	}
-	return "maybe"
-}
-
 // Facts are the interprocedural summary of one function.
 type Facts struct {
 	// Allocates: some path allocates on the heap. AllocWhy describes the
@@ -81,13 +61,7 @@ type Facts struct {
 	// inherited from (chase .Via for the chain).
 	Allocates bool
 	AllocWhy  string
-	AllocPos  token.Pos
 	AllocVia  *types.Func
-
-	// Blocks: some path can block on channel/sync primitives.
-	Blocks   bool
-	BlockWhy string
-	BlockVia *types.Func
 
 	// Status summarizes ResponseWriter status writes.
 	Status WriteStatus
@@ -98,17 +72,14 @@ type Facts struct {
 	// that do not themselves take a context) calls a module function with a
 	// context parameter. A true fact on a ctx-less function means calling
 	// it severs context propagation to whatever it reaches; CtxCallee is
-	// one such reached function, CtxVia the intermediate it was inherited
-	// from (nil when the call is direct).
+	// one such reached function.
 	ReachesCtxCall bool
 	CtxCallee      *types.Func
-	CtxVia         *types.Func
 }
 
 // Set holds the computed facts of every module function.
 type Set struct {
 	facts map[*types.Func]*Facts
-	graph *callgraph.Graph
 }
 
 var noFacts = &Facts{}
@@ -146,27 +117,9 @@ func (s *Set) AllocChain(fn *types.Func) string {
 	return strings.Join(parts, ": ")
 }
 
-// BlockChain renders the inheritance chain of fn's blocking fact.
-func (s *Set) BlockChain(fn *types.Func) string {
-	var parts []string
-	for depth := 0; fn != nil && depth < 4; depth++ {
-		f := s.Of(fn)
-		if !f.Blocks {
-			break
-		}
-		if f.BlockVia == nil {
-			parts = append(parts, f.BlockWhy)
-			break
-		}
-		parts = append(parts, "calls "+f.BlockVia.Name())
-		fn = f.BlockVia
-	}
-	return strings.Join(parts, ": ")
-}
-
 // Compute solves every fact bottom-up over the graph's SCC condensation.
 func Compute(g *callgraph.Graph) *Set {
-	s := &Set{facts: make(map[*types.Func]*Facts, len(g.Nodes)), graph: g}
+	s := &Set{facts: make(map[*types.Func]*Facts, len(g.Nodes))}
 	for fn, n := range g.Nodes {
 		s.facts[fn] = directFacts(n)
 	}
@@ -198,12 +151,6 @@ func (s *Set) propagate(n *callgraph.Node) bool {
 		if cf.Allocates && !f.Allocates {
 			f.Allocates = true
 			f.AllocVia = e.Callee.Func
-			f.AllocPos = e.Site.Pos()
-			changed = true
-		}
-		if cf.Blocks && !f.Blocks {
-			f.Blocks = true
-			f.BlockVia = e.Callee.Func
 			changed = true
 		}
 		// Context reachability travels only through ctx-less callees: a
@@ -217,7 +164,6 @@ func (s *Set) propagate(n *callgraph.Node) bool {
 			} else if cf.ReachesCtxCall {
 				f.ReachesCtxCall = true
 				f.CtxCallee = cf.CtxCallee
-				f.CtxVia = e.Callee.Func
 				changed = true
 			}
 		}
@@ -233,13 +179,6 @@ func directFacts(n *callgraph.Node) *Facts {
 			if sites := AllocSites(n.Info, body); len(sites) > 0 {
 				f.Allocates = true
 				f.AllocWhy = sites[0].What
-				f.AllocPos = sites[0].Pos
-			}
-		}
-		if !f.Blocks {
-			if sites := BlockSites(n.Info, body); len(sites) > 0 {
-				f.Blocks = true
-				f.BlockWhy = sites[0].What
 			}
 		}
 		lockset.WalkCalls(body, func(call *ast.CallExpr) {
@@ -251,13 +190,6 @@ func directFacts(n *callgraph.Node) *Facts {
 				if why, ok := ExternalAllocs(callee); ok {
 					f.Allocates = true
 					f.AllocWhy = why
-					f.AllocPos = call.Pos()
-				}
-			}
-			if !f.Blocks {
-				if why, ok := ExternalBlocks(callee); ok {
-					f.Blocks = true
-					f.BlockWhy = why
 				}
 			}
 		})
@@ -287,7 +219,7 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// Site is one allocation or blocking site, for diagnostics.
+// Site is one allocation site, for diagnostics.
 type Site struct {
 	Pos  token.Pos
 	What string
@@ -399,45 +331,6 @@ func isByteOrRuneSlice(t types.Type) bool {
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8 || b.Kind() == types.Rune || b.Kind() == types.Int32)
 }
 
-// BlockSites returns the direct blocking sites under root (channel sends
-// and receives, select without default, range over a channel), without
-// descending into function literals.
-func BlockSites(info *types.Info, root ast.Node) []Site {
-	var sites []Site
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			sites = append(sites, Site{Pos: x.Pos(), What: "channel send"})
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				sites = append(sites, Site{Pos: x.Pos(), What: "channel receive"})
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				sites = append(sites, Site{Pos: x.Pos(), What: "select without default"})
-			}
-		case *ast.RangeStmt:
-			if info != nil {
-				if tv, ok := info.Types[x.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						sites = append(sites, Site{Pos: x.Pos(), What: "range over channel"})
-					}
-				}
-			}
-		}
-		return true
-	})
-	return sites
-}
-
 // allocatingPkgs is the curated set of stdlib packages whose exported
 // functions allocate as a matter of course. Coarse on purpose: a hot path
 // has no business calling into any of these, and a justified exception
@@ -463,41 +356,6 @@ func ExternalAllocs(fn *types.Func) (string, bool) {
 	}
 	if path == "math/big" && strings.HasPrefix(fn.Name(), "New") && fn.Type().(*types.Signature).Recv() == nil {
 		return "calls big." + fn.Name(), true
-	}
-	return "", false
-}
-
-// ExternalBlocks reports whether a non-module function is a known blocking
-// primitive: WaitGroup.Wait, Cond.Wait, time.Sleep. Mutex Lock is
-// deliberately not here (see package doc).
-func ExternalBlocks(fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	switch pkg.Path() {
-	case "sync":
-		if fn.Name() != "Wait" {
-			return "", false
-		}
-		sig := fn.Type().(*types.Signature)
-		if sig.Recv() == nil {
-			return "", false
-		}
-		recv := sig.Recv().Type()
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		// Cond.Wait is deliberately excluded: it atomically releases the
-		// mutex it coordinates, so treating it as a naive block would flag
-		// every correct condition-variable loop.
-		if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "WaitGroup" {
-			return "calls sync.WaitGroup.Wait", true
-		}
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "calls time.Sleep", true
-		}
 	}
 	return "", false
 }

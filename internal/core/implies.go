@@ -79,13 +79,10 @@ func (c *Checker) ImpliesContext(ctx context.Context, sigma []constraint.Constra
 // ImpliesKey is the linear-time implication test for keys by keys
 // (Theorem 3.5(3)): (D,Σ) ⊢ τ[X] → τ iff Σ contains a key τ[Y] → τ with
 // Y ⊆ X, or no tree valid w.r.t. D has two τ elements (Lemma 3.7).
+//
+// d must already pass d.Check() and sigma constraint.ValidateSet(d, sigma),
+// as they do once compiled and bound; only phi is validated here.
 func ImpliesKey(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Key) (bool, error) {
-	if err := d.Check(); err != nil {
-		return false, err
-	}
-	if err := constraint.ValidateSet(d, sigma); err != nil {
-		return false, err
-	}
 	if err := phi.Validate(d); err != nil {
 		return false, err
 	}

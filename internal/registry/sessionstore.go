@@ -111,7 +111,7 @@ func NewSessionStore(max int, ttl time.Duration) *SessionStore {
 // Close is idempotent.
 func (st *SessionStore) Close() {
 	st.once.Do(func() {
-		close(st.stop) //xic:ignore chandisc Close is the designated shutdown side of the stop protocol; sync.Once makes the close single-shot
+		close(st.stop)
 	})
 	<-st.done
 }
