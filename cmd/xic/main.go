@@ -5,7 +5,7 @@
 //
 //	xic check    -dtd spec.dtd -constraints spec.xic [-constraints more.xic ...] [-witness out.xml] [-skip-witness] [-max-solver-nodes N] [-solver-par N] [-exact] [-timeout d]
 //	xic imply    -dtd spec.dtd -constraints spec.xic [-constraints more.xic ...] -query "constraint" [-counterexample out.xml] [-solver-par N] [-exact] [-timeout d]
-//	xic validate -dtd spec.dtd [-constraints spec.xic] -doc doc.xml [-stream] [-timeout d]
+//	xic validate -dtd spec.dtd [-constraints spec.xic] -doc doc.xml [-timeout d]
 //	xic simplify -dtd spec.dtd
 //	xic encode   -dtd spec.dtd [-constraints spec.xic] [-bigm]
 //	xic class    -constraints spec.xic
@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -84,8 +83,8 @@ func usage() {
 commands:
   check      decide consistency; optionally emit a witness document
   imply      decide implication (D,Σ) ⊢ φ; optionally emit a counterexample
-  validate   check one XML document against DTD and constraints (-stream for
-             single-pass validation of large documents)
+  validate   check one XML document against DTD and constraints in a single
+             streaming pass
   simplify   print the simple DTD of Section 4.1
   encode     print the cardinality encoding Ψ(D,Σ) (or its big-M matrix)
   class      print the constraint class of a constraint set`)
@@ -316,8 +315,7 @@ func runValidate(args []string) (negative bool, err error) {
 	dtdPath := fs.String("dtd", "", "DTD file")
 	consPath := fs.String("constraints", "", "constraint file (optional)")
 	docPath := fs.String("doc", "", "XML document file")
-	stream := fs.Bool("stream", false, "validate in a single streaming pass; memory is bounded by the constraint indexes, not the document size")
-	timeout := fs.Duration("timeout", 0, "abort validation (either mode) after this long (0 = no deadline)")
+	timeout := fs.Duration("timeout", 0, "abort validation after this long (0 = no deadline)")
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
@@ -335,36 +333,21 @@ func runValidate(args []string) (negative bool, err error) {
 	defer f.Close()
 	ctx, cancel := checkContext(*timeout)
 	defer cancel()
-	if *stream {
-		rep, err := spec.ValidateStream(ctx, f)
-		if err != nil {
-			return false, err
-		}
-		if !rep.OK() {
-			fmt.Printf("INVALID: %d violation(s) in %d elements\n", len(rep.Violations), rep.Elements)
-			for _, v := range rep.Violations {
-				fmt.Printf("  %s\n", v)
-			}
-			if rep.Truncated {
-				fmt.Println("  (further violations suppressed)")
-			}
-			return true, nil
-		}
-		fmt.Printf("VALID: %d elements conform to the DTD and satisfy all constraints\n", rep.Elements)
-		return false, nil
-	}
-	doc, err := xic.ParseDocument(f)
+	rep, err := spec.ValidateStream(ctx, f)
 	if err != nil {
 		return false, err
 	}
-	if err := spec.Validate(ctx, doc); err != nil {
-		if errors.Is(err, xic.ErrCanceled) {
-			return false, err
+	if !rep.OK() {
+		fmt.Printf("INVALID: %d violation(s) in %d elements\n", len(rep.Violations), rep.Elements)
+		for _, v := range rep.Violations {
+			fmt.Printf("  %s\n", v)
 		}
-		fmt.Printf("INVALID: %v\n", err)
+		if rep.Truncated {
+			fmt.Println("  (further violations suppressed)")
+		}
 		return true, nil
 	}
-	fmt.Println("VALID: document conforms to the DTD and satisfies all constraints")
+	fmt.Printf("VALID: %d elements conform to the DTD and satisfy all constraints\n", rep.Elements)
 	return false, nil
 }
 

@@ -139,9 +139,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	})
 }
 
-// TestCLIValidateStream exercises the streaming validation mode end to end:
-// a valid fixture, an invalid in-memory document with line-numbered
-// violations, and verdict agreement with the tree mode.
+// TestCLIValidateStream exercises streaming validation end to end: a
+// valid fixture, an expired deadline, and an invalid document with
+// line-numbered violations.
 func TestCLIValidateStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
@@ -152,30 +152,19 @@ func TestCLIValidateStream(t *testing.T) {
 	schoolXML := specPath(t, "school.xml")
 
 	t.Run("valid fixture", func(t *testing.T) {
-		out, code := run(t, bin, "validate", "-dtd", schoolDTD, "-constraints", schoolXIC, "-doc", schoolXML, "-stream")
+		out, code := run(t, bin, "validate", "-dtd", schoolDTD, "-constraints", schoolXIC, "-doc", schoolXML)
 		if code != 0 || !strings.Contains(out, "VALID") {
 			t.Errorf("exit=%d out=%q", code, out)
 		}
 	})
 
-	t.Run("verdicts agree with tree mode", func(t *testing.T) {
-		_, treeCode := run(t, bin, "validate", "-dtd", schoolDTD, "-constraints", schoolXIC, "-doc", schoolXML)
-		_, streamCode := run(t, bin, "validate", "-dtd", schoolDTD, "-constraints", schoolXIC, "-doc", schoolXML, "-stream")
-		if treeCode != streamCode {
-			t.Errorf("tree exit=%d stream exit=%d", treeCode, streamCode)
-		}
-	})
-
-	t.Run("timeout honored in both modes", func(t *testing.T) {
-		// An expired 1ns deadline must abort either mode with a processing
-		// error (exit 2) that names the deadline — not a bogus verdict.
-		for _, mode := range [][]string{nil, {"-stream"}} {
-			args := append([]string{"validate", "-dtd", schoolDTD, "-constraints", schoolXIC,
-				"-doc", schoolXML, "-timeout", "1ns"}, mode...)
-			out, code := run(t, bin, args...)
-			if code != 2 || !strings.Contains(out, "deadline") {
-				t.Errorf("mode %v: exit=%d out=%q, want exit 2 naming the deadline", mode, code, out)
-			}
+	t.Run("timeout honored", func(t *testing.T) {
+		// An expired 1ns deadline must abort with a processing error
+		// (exit 2) that names the deadline — not a bogus verdict.
+		out, code := run(t, bin, "validate", "-dtd", schoolDTD, "-constraints", schoolXIC,
+			"-doc", schoolXML, "-timeout", "1ns")
+		if code != 2 || !strings.Contains(out, "deadline") {
+			t.Errorf("exit=%d out=%q, want exit 2 naming the deadline", code, out)
 		}
 	})
 
@@ -186,7 +175,7 @@ func TestCLIValidateStream(t *testing.T) {
 		writeFile(t, dtdFile, "<!ELEMENT db (rec*)>\n<!ELEMENT rec EMPTY>\n<!ATTLIST rec id CDATA #REQUIRED>\n")
 		writeFile(t, xicFile, "rec.id -> rec\n")
 		writeFile(t, docFile, "<db>\n<rec id=\"1\"/>\n<rec id=\"1\"/>\n</db>\n")
-		out, code := run(t, bin, "validate", "-dtd", dtdFile, "-constraints", xicFile, "-doc", docFile, "-stream")
+		out, code := run(t, bin, "validate", "-dtd", dtdFile, "-constraints", xicFile, "-doc", docFile)
 		if code != 1 || !strings.Contains(out, "INVALID") || !strings.Contains(out, "line 3") {
 			t.Errorf("exit=%d out=%q", code, out)
 		}

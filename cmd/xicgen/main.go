@@ -12,7 +12,7 @@
 //
 // doc streams a document conforming to the DTD with approximately -nodes
 // element nodes (millions are fine: generation is O(depth) memory), the
-// workload for `xic validate -stream`. -values 0 makes attribute values
+// workload for `xic validate`. -values 0 makes attribute values
 // globally unique, so keys hold; -values N draws them from a pool of N,
 // making collisions likely.
 //

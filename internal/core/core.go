@@ -33,8 +33,9 @@
 // under errors.Is.
 //
 // Positive consistency results carry a witness document, built by package
-// witness and independently re-validated against the DTD and every
-// constraint; negative implication results carry a counterexample tree.
+// witness and checked against the DTD and every constraint by the
+// document checker (internal/doccheck); negative implication results
+// carry a counterexample tree, checked the same way.
 package core
 
 import (
@@ -46,6 +47,7 @@ import (
 
 	"xic/internal/cardinality"
 	"xic/internal/constraint"
+	"xic/internal/doccheck"
 	"xic/internal/dtd"
 	"xic/internal/ilp"
 	"xic/internal/witness"
@@ -129,8 +131,8 @@ func ConsistentDTD(d *dtd.DTD) bool {
 }
 
 // Engine is the compiled per-DTD artifact of the two-stage API: DTD
-// validation, Section 4.1 simplification and the Ψ_{D_N} encoding template,
-// each built at most once (guarded by sync.Once) and never mutated
+// validation, the content-model automata, Section 4.1 simplification and
+// the Ψ_{D_N} encoding template, each built at most once and never mutated
 // afterwards. The cardinality system Ψ(D) is determined by the DTD alone —
 // constraint sets only append rows on top of it — so one Engine is the
 // stable, pre-analyzed artifact that any number of Checkers bind against:
@@ -141,6 +143,7 @@ func ConsistentDTD(d *dtd.DTD) bool {
 // xic:frozen
 type Engine struct {
 	d *dtd.DTD
+	v *xmltree.Validator
 
 	simpOnce sync.Once
 	simp     *dtd.Simplified
@@ -150,14 +153,38 @@ type Engine struct {
 	encErr  error
 }
 
-// NewEngine validates the DTD once; simplification and the encoding
-// template are built lazily on the first NP-class check (or eagerly via
-// Precompile).
+// NewEngine validates the DTD and compiles its content-model automata;
+// simplification and the encoding template are built lazily on the first
+// NP-class check (or eagerly via Precompile).
 func NewEngine(d *dtd.DTD) (*Engine, error) {
 	if err := d.Check(); err != nil {
 		return nil, err
 	}
-	return &Engine{d: d}, nil
+	return &Engine{d: d, v: xmltree.NewValidator(d)}, nil
+}
+
+// Validator returns the DTD's compiled content-model automata, shared by
+// every document checker over this DTD.
+func (e *Engine) Validator() *xmltree.Validator { return e.v }
+
+// verify checks a constructed tree with the document checker: it must
+// conform to the DTD, satisfy sigma and, unless refuted is nil, violate
+// refuted. Any failure is an internal error, save cancellation.
+func (e *Engine) verify(ctx context.Context, tree *xmltree.Tree, sigma []constraint.Constraint, refuted constraint.Constraint) error {
+	set := sigma
+	if refuted != nil {
+		set = append(set[:len(set):len(set)], refuted)
+	}
+	violated, err := doccheck.New(e.d, e.v, set).RunTree(ctx, tree)
+	switch {
+	case err != nil:
+		return wrapCanceled(fmt.Errorf("core: checking the constructed tree: %w", err))
+	case violated >= 0 && violated < len(sigma):
+		return fmt.Errorf("core: internal error: constructed tree violates %s", set[violated])
+	case refuted != nil && violated < 0:
+		return fmt.Errorf("core: internal error: counterexample satisfies %s", refuted)
+	}
+	return nil
 }
 
 // Precompile forces the lazy per-DTD work — simplification and the
@@ -366,6 +393,9 @@ func (c *Checker) consistentChecked(ctx context.Context, set []constraint.Constr
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
+	if err := c.eng.verify(ctx, tree, set, nil); err != nil {
+		return nil, err
+	}
 	res.Witness = tree
 	return res, nil
 }
@@ -383,15 +413,15 @@ func (c *Checker) consistentKeysOnly(ctx context.Context, set []constraint.Const
 		return nil, err
 	}
 	distinctValues(tree)
-	if ok, violated := constraint.SatisfiedAll(tree, set); !ok {
-		return nil, fmt.Errorf("core: internal error: distinct-valued witness violates %s", violated)
+	if err := c.eng.verify(ctx, tree, set, nil); err != nil {
+		return nil, err
 	}
 	res.Witness = tree
 	return res, nil
 }
 
 // buildSkeleton constructs some tree conforming to the DTD via the
-// unconstrained encoding.
+// unconstrained encoding; the caller verifies it.
 func (c *Checker) buildSkeleton(ctx context.Context, opt *Options) (*xmltree.Tree, error) {
 	enc, err := c.eng.template()
 	if err != nil {

@@ -169,11 +169,8 @@ func (c *Checker) impliesKeyByKeys(ctx context.Context, sigma []constraint.Const
 		v, _ := nodes[0].Attr(a)
 		nodes[1].SetAttr(a, v)
 	}
-	if ok, violated := constraint.SatisfiedAll(tree, sigma); !ok {
-		return nil, fmt.Errorf("core: internal error: counterexample violates Σ constraint %s", violated)
-	}
-	if constraint.Satisfied(tree, phi) {
-		return nil, fmt.Errorf("core: internal error: counterexample satisfies %s", phi)
+	if err := c.eng.verify(ctx, tree, sigma, phi); err != nil {
+		return nil, err
 	}
 	return &Implication{Implied: false, Counterexample: tree}, nil
 }

@@ -1,9 +1,10 @@
-// Package doccheck validates XML documents against a fixed DTD and
-// constraint set in a single streaming pass. It is the serving-path
-// counterpart of xmltree.Validator + constraint.SatisfiedAll for the
-// paper's fixed-DTD setting (Corollaries 4.11 and 5.5): the schema is
-// compiled once and many documents are checked against it, so the checker
-// must not materialize each document as a tree.
+// Package doccheck decides whether a document conforms to a fixed DTD
+// and satisfies a constraint set, for streams, trees, sessions and the
+// decision procedures' witnesses alike. It serves the paper's fixed-DTD
+// setting (Corollaries 4.11 and 5.5): the schema is compiled once and many
+// documents are checked against it. xmltree.Validator.Validate and
+// constraint.Satisfied decide the same questions independently, as the
+// tests' oracle.
 //
 // Memory is bounded by the open-element stack and the constraint hash
 // indexes, never by the document: DTD conformance feeds each element's
@@ -15,12 +16,15 @@
 package doccheck
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"unsafe"
 
 	"xic/internal/constraint"
 	"xic/internal/dtd"
@@ -28,10 +32,9 @@ import (
 	"xic/internal/xmltree"
 )
 
-// DefaultMaxViolations bounds the violations a Report accumulates when the
-// checker is not configured otherwise, so a pathological document cannot
-// grow the report without bound.
-const DefaultMaxViolations = 64
+// MaxViolations bounds the violations a Report keeps, so a pathological
+// document cannot grow the report without bound.
+const MaxViolations = 64
 
 // Violation is one way the document fails the specification.
 type Violation struct {
@@ -42,11 +45,11 @@ type Violation struct {
 	// ranges over.
 	Path string
 	// Line is the 1-based source line of the reporting position; 0 for
-	// end-of-document verdicts with no single position.
+	// end-of-document verdicts with no single position and for trees.
 	Line int
 	// Offset is the byte offset just past the token that reported it (the
-	// element's start tag, for most violations); -1 for end-of-document
-	// verdicts.
+	// element's start tag, for most violations); for a tree, the reporting
+	// node's position in document order; -1 for end-of-document verdicts.
 	Offset int64
 	// Constraint is the violated constraint; nil for DTD-conformance
 	// violations.
@@ -62,7 +65,7 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Path, v.Msg)
 }
 
-// Report is the outcome of one streaming validation pass.
+// Report is the outcome of one validation pass.
 type Report struct {
 	// Violations lists conformance and constraint violations in document
 	// order, with end-of-document verdicts last (ordered by the source
@@ -73,6 +76,8 @@ type Report struct {
 	Truncated bool
 	// Elements counts the element nodes seen.
 	Elements int
+
+	nonconforming bool // some conformance violation was found, kept or not
 }
 
 // OK reports whether the document conforms to the DTD and satisfies every
@@ -88,13 +93,11 @@ func (r *Report) Err() error {
 	return fmt.Errorf("doccheck: %d violation(s); first: %s", len(r.Violations), r.Violations[0])
 }
 
-// Checker is a compiled streaming validator for one specification. It
-// holds no per-document state, so one Checker serves any number of
-// concurrent Run calls; the automata come from the shared (frozen)
-// xmltree.Validator cache, each fetched once per Checker.
+// Checker is a compiled validator for one specification. It holds no
+// per-document state, so one Checker serves any number of concurrent
+// passes.
 type Checker struct {
 	d     *dtd.DTD
-	v     *xmltree.Validator
 	sigma []constraint.Constraint
 
 	// types are the DTD's element types, indexed by symbol; syms maps a
@@ -104,29 +107,24 @@ type Checker struct {
 	// collectors is the number of collectors a pass instantiates, one per
 	// (constraint, observed type); elemType.cols indexes them.
 	collectors int
-
-	// MaxViolations bounds the report size; 0 means DefaultMaxViolations.
-	MaxViolations int
 }
 
 // elemType is what one lookup of a start tag's name resolves to.
 type elemType struct {
 	label string
 	decl  *dtd.Element
-	auto  atomic.Pointer[dtd.Automaton] // fetched from the validator on first use
-	cols  []int                         // the pass's collectors observing this type
+	auto  *dtd.Automaton
+	cols  []int // the pass's collectors observing this type
 }
 
-// New returns a streaming checker over the DTD, its validator (whose
-// automaton cache should be compiled via CompileAll) and a constraint set
-// already validated against the DTD.
+// New returns a checker over the DTD, the validator holding its compiled
+// automata, and a constraint set already validated against the DTD.
 func New(d *dtd.DTD, v *xmltree.Validator, sigma []constraint.Constraint) *Checker {
 	names := d.Types()
-	c := &Checker{d: d, v: v, sigma: sigma, syms: make(map[string]int32, len(names)), types: make([]elemType, len(names))}
+	c := &Checker{d: d, sigma: sigma, syms: make(map[string]int32, len(names)), types: make([]elemType, len(names))}
 	for i, name := range names {
 		c.syms[name] = int32(i)
-		c.types[i].label = name
-		c.types[i].decl = d.Element(name)
+		c.types[i] = elemType{label: name, decl: d.Element(name), auto: v.Automaton(name)}
 	}
 	// Lay out, once, which collectors each type feeds; every pass builds
 	// its collectors in this same order.
@@ -137,16 +135,6 @@ func New(d *dtd.DTD, v *xmltree.Validator, sigma []constraint.Constraint) *Check
 		t.cols = append(t.cols, i)
 	}
 	return c
-}
-
-// automaton returns the content-model automaton of a declared type.
-func (c *Checker) automaton(t *elemType) *dtd.Automaton {
-	if a := t.auto.Load(); a != nil {
-		return a
-	}
-	a := c.v.Automaton(t.label)
-	t.auto.Store(a)
-	return a
 }
 
 // Run validates one document from r in a single pass. It returns a Report
@@ -185,21 +173,61 @@ func (c *Checker) RunRetainInto(ctx context.Context, r io.Reader, sink Sink) (*R
 	return c.runPass(ctx, r, true, sink)
 }
 
+// RunTree checks an in-memory tree through Run's per-element handlers; a
+// text node is one #PCDATA step, where a byte stream merges adjacent runs
+// of character data. It returns the index in the constraint set of the
+// first constraint the tree violates, or -1. A tree that does not conform
+// to the DTD (a text node with attributes or children included) is an
+// error, as are an empty tree and the end of ctx.
+func (c *Checker) RunTree(ctx context.Context, t *xmltree.Tree) (violated int, err error) {
+	if t == nil || t.Root == nil {
+		return -1, errors.New("doccheck: empty tree")
+	}
+	rn := c.newRun(nil)
+	rn.ctx, rn.done = ctx, ctx.Done()
+	var idxs *Indexes
+	rn.collectors, _, rn.finishers, idxs = c.newConstraintState(false)
+	if err := rn.walk(t.Root); err != nil {
+		return -1, err
+	}
+	if rn.report.nonconforming {
+		for _, v := range rn.report.Violations {
+			if v.Constraint == nil {
+				return -1, fmt.Errorf("doccheck: tree does not conform to the DTD: %s", v)
+			}
+		}
+		return -1, errors.New("doccheck: tree does not conform to the DTD; the violation report filled up first")
+	}
+	for i := range idxs.Entries {
+		if idxs.Entries[i].Violated() {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
+// RunFragment checks the subtree rooted at n for local conformance —
+// declared element types, exact attribute sets, content models — as
+// sessions check an inserted subtree: not the root's type, no constraint.
+func (c *Checker) RunFragment(n *xmltree.Node) *Report {
+	rn := c.newRun(nil)
+	rn.local = true
+	rn.walk(n) // without a context the walk cannot fail
+	return rn.report
+}
+
+// newRun starts a pass over the document rd reads, or over a tree when
+// rd is nil; its caller bounds it by a context, except for a fragment.
+func (c *Checker) newRun(rd *xmltree.Reader) *run {
+	return &run{c: c, rd: rd, report: &Report{}}
+}
+
 func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool, sink Sink) (*Report, *Indexes, error) {
-	rn := &run{
-		c:      c,
-		rd:     xmltree.NewReader(r),
-		sink:   sink,
-		report: &Report{},
-		max:    c.MaxViolations,
-		done:   ctx.Done(),
-	}
-	if rn.max <= 0 {
-		rn.max = DefaultMaxViolations
-	}
+	rn := c.newRun(xmltree.NewReader(r))
+	rn.ctx, rn.done, rn.sink = ctx, ctx.Done(), sink
 	var idxs *Indexes
 	rn.collectors, _, rn.finishers, idxs = c.newConstraintState(retain)
-	if err := rn.loop(ctx); err != nil {
+	if err := rn.loop(); err != nil {
 		return nil, nil, err
 	}
 	return rn.report, idxs, nil
@@ -265,32 +293,35 @@ func (f *frame) child(sym int32, label string) int {
 	return n
 }
 
-// run is the per-document state of one streaming pass.
+// run is the per-document state of one pass.
 type run struct {
 	c      *Checker
-	rd     *xmltree.Reader
+	rd     *xmltree.Reader // nil for a tree pass
 	sink   Sink
 	report *Report
-	max    int
+	local  bool // a fragment: no root type, no constraints
 
 	frames []frame // frames[:depth] are live; the rest are reusable
 	depth  int
 
-	line int // position of the most recent token
+	line int // position of the most recent token or node
 	off  int64
 
 	collectors []collector // indexed by elemType.cols
 	finishers  []finisher
 
-	done <-chan struct{}
+	attrs []xmlscan.Attr // a tree node's attributes (treeAttrs)
+
+	ctx  context.Context // nil for a fragment, which no context bounds
+	done <-chan struct{} // ctx.Done(); nil when nothing can cancel the pass
 }
 
 // loop drives the token stream to EOF.
-func (rn *run) loop(ctx context.Context) error {
+func (rn *run) loop() error {
 	for tokens := 0; ; tokens++ {
 		if tokens%1024 == 0 && rn.done != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
+			if err := rn.canceled(); err != nil {
+				return err
 			}
 		}
 		k, err := rn.rd.Next()
@@ -306,11 +337,63 @@ func (rn *run) loop(ctx context.Context) error {
 		case xmlscan.Text:
 			rn.text()
 		case xmlscan.EOF:
-			for _, f := range rn.finishers {
-				f.finish(rn)
-			}
+			rn.finish()
 			return nil
 		}
+	}
+}
+
+// walk drives the tree rooted at root through the handlers in document
+// order, keeping the open elements' child cursors on an explicit stack.
+func (rn *run) walk(root *xmltree.Node) error {
+	type cursor struct {
+		n    *xmltree.Node
+		next int
+	}
+	var stack []cursor
+	for n, nodes := root, 0; n != nil; nodes++ {
+		if nodes%1024 == 0 && rn.done != nil {
+			if err := rn.canceled(); err != nil {
+				return err
+			}
+		}
+		rn.off = int64(nodes)
+		if n.IsText() && len(stack) > 0 {
+			rn.textNode(n)
+		} else {
+			rn.element(n)
+			stack = append(stack, cursor{n: n})
+		}
+		// Advance to the next node in document order, closing the
+		// elements whose children are done.
+		n = nil
+		for len(stack) > 0 && n == nil {
+			top := &stack[len(stack)-1]
+			if top.next < len(top.n.Children) {
+				n = top.n.Children[top.next]
+				top.next++
+				continue
+			}
+			rn.close()
+			stack = stack[:len(stack)-1]
+		}
+	}
+	rn.finish()
+	return nil
+}
+
+// canceled returns the error that aborts a pass whose context has ended.
+func (rn *run) canceled() error {
+	if err := rn.ctx.Err(); err != nil {
+		return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
+	}
+	return nil
+}
+
+// finish emits the end-of-document verdicts.
+func (rn *run) finish() {
+	for _, f := range rn.finishers {
+		f.finish(rn)
 	}
 }
 
@@ -328,9 +411,30 @@ func (rn *run) resolve(name []byte) (int32, *elemType, string) {
 func (rn *run) start() {
 	sym, t, label := rn.resolve(rn.rd.Name())
 	attrs := rn.rd.Attrs()
+	rn.open(sym, t, label, attrs)
+	if rn.sink != nil {
+		rn.sink.Start(label, attrs)
+	}
+}
+
+// element is start for a tree's element node. An undeclared element's
+// attributes go unread, as a start tag's do.
+func (rn *run) element(n *xmltree.Node) {
+	if sym, ok := rn.c.syms[n.Label]; ok {
+		t := &rn.c.types[sym]
+		rn.open(sym, t, n.Label, rn.treeAttrs(n, t.decl))
+		return
+	}
+	rn.open(-1, nil, n.Label, nil)
+}
+
+// open is the per-element handler both passes share: it steps the
+// parent's content model, opens the element's frame, checks its type and
+// attributes, and hands it to the collectors observing its type.
+func (rn *run) open(sym int32, t *elemType, label string, attrs []xmlscan.Attr) {
 	index := 0
 	if rn.depth == 0 {
-		if label != rn.c.d.Root {
+		if !rn.local && label != rn.c.d.Root {
 			rn.violate(nil, label, "root is %q, DTD requires %q", label, rn.c.d.Root)
 		}
 	} else {
@@ -348,26 +452,31 @@ func (rn *run) start() {
 	rn.report.Elements++
 	if t == nil {
 		rn.violate(nil, rn.path(rn.depth), "element type %q is not declared", label)
-	} else {
-		rn.checkAttrs(t.decl, attrs)
-		for _, i := range t.cols {
-			rn.collectors[i].element(rn, attrs)
-		}
+		return
 	}
-	if rn.sink != nil {
-		rn.sink.Start(label, attrs)
+	rn.checkAttrs(t.decl, attrs)
+	if rn.local {
+		return
+	}
+	for _, i := range t.cols {
+		rn.collectors[i].element(rn, attrs)
 	}
 }
 
 func (rn *run) end() {
+	rn.close()
+	if rn.sink != nil {
+		rn.sink.End()
+	}
+}
+
+// close is the end-of-element handler both passes share.
+func (rn *run) close() {
 	f := &rn.frames[rn.depth-1]
 	if f.run != nil && !f.contentBad && !f.run.Accepting() {
 		rn.violate(nil, rn.path(rn.depth),
 			"children of %s do not match content model %s: sequence is incomplete",
 			rn.path(rn.depth), f.decl.Content)
-	}
-	if rn.sink != nil {
-		rn.sink.End()
 	}
 	rn.depth--
 }
@@ -381,12 +490,54 @@ func (rn *run) text() {
 		return // adjacent runs form one text node
 	}
 	f.lastWasText = true
+	rn.stepText(f)
+}
+
+// textNode is text for a tree's text node: one #PCDATA step of its own.
+func (rn *run) textNode(n *xmltree.Node) {
+	if len(n.Children) > 0 || len(n.Attrs) > 0 {
+		rn.violate(nil, rn.path(rn.depth), "text node under %s has children or attributes", rn.path(rn.depth))
+	}
+	rn.stepText(&rn.frames[rn.depth-1])
+}
+
+// stepText steps the open element's content model over character data.
+func (rn *run) stepText(f *frame) {
 	if f.run != nil && !f.contentBad && !f.run.Step(dtd.TextSymbol) {
 		f.contentBad = true
 		rn.violate(nil, rn.path(rn.depth),
 			"children of %s do not match content model %s: unexpected text content",
 			rn.path(rn.depth), f.decl.Content)
 	}
+}
+
+// treeAttrs presents a tree node's attributes as a start tag's: declared
+// ones in declaration order, then others by name, not in map order. The
+// byte slices alias the node's strings; like a start tag's, they are only
+// read.
+func (rn *run) treeAttrs(n *xmltree.Node, decl *dtd.Element) []xmlscan.Attr {
+	attrs := rn.attrs[:0]
+	for _, name := range decl.Attrs {
+		if value, ok := n.Attrs[name]; ok {
+			attrs = append(attrs, attrOf(name, value))
+		}
+	}
+	if declared := len(attrs); declared < len(n.Attrs) {
+		for name, value := range n.Attrs {
+			if !decl.HasAttr(name) {
+				attrs = append(attrs, attrOf(name, value))
+			}
+		}
+		slices.SortFunc(attrs[declared:], func(x, y xmlscan.Attr) int { return bytes.Compare(x.Local, y.Local) })
+	}
+	rn.attrs = attrs
+	return attrs
+}
+
+// attrOf is the attribute name=value as a start tag's, without copying.
+func attrOf(name, value string) xmlscan.Attr {
+	local := unsafe.Slice(unsafe.StringData(name), len(name))
+	return xmlscan.Attr{Name: local, Local: local, Value: unsafe.Slice(unsafe.StringData(value), len(value))}
 }
 
 // push opens a frame for an element of type t (nil when undeclared),
@@ -402,7 +553,7 @@ func (rn *run) push(t *elemType, label string, index int) {
 	var ar *dtd.Run
 	if t != nil {
 		decl = t.decl
-		ar = rn.c.automaton(t).Reuse(spare)
+		ar = t.auto.Reuse(spare)
 		spare = ar
 	}
 	*f = frame{label: label, decl: decl, run: ar, spare: spare, index: index, kids: f.kids[:0]}
@@ -428,7 +579,7 @@ func (rn *run) checkAttrs(decl *dtd.Element, attrs []xmlscan.Attr) {
 // notation; it is only materialized when a violation needs it, and not at
 // all once the report is full.
 func (rn *run) path(depth int) string {
-	if len(rn.report.Violations) >= rn.max {
+	if len(rn.report.Violations) >= MaxViolations {
 		return ""
 	}
 	var b strings.Builder
@@ -443,8 +594,12 @@ func (rn *run) path(depth int) string {
 	return b.String()
 }
 
-// violate appends a violation at the current stream position.
+// violate appends a violation at the current position; a nil constraint
+// marks a conformance violation.
 func (rn *run) violate(c constraint.Constraint, path, format string, args ...any) {
+	if c == nil {
+		rn.report.nonconforming = true
+	}
 	if rn.full() {
 		return
 	}
@@ -462,7 +617,7 @@ func (rn *run) add(v Violation) {
 // full reports whether the report has reached its bound, marking it
 // truncated: from then on violations are dropped unformatted.
 func (rn *run) full() bool {
-	if len(rn.report.Violations) >= rn.max {
+	if len(rn.report.Violations) >= MaxViolations {
 		rn.report.Truncated = true
 		return true
 	}
@@ -526,14 +681,15 @@ func tupleVals(attrs []xmlscan.Attr, names []string, dst []string) bool {
 	return true
 }
 
-// tupleKey encodes one attribute tuple as a comparable index key. The
+// TupleKey encodes one attribute tuple as a comparable index key. The
 // unary case — by far the common one for keys — is the raw value, with no
 // allocation; wider tuples pay constraint.TupleKey's length-prefixed
-// encoding. Every index in this file keys through here, so the two
-// encodings never mix within one collector.
+// encoding. Every index key goes through here, this package's and a
+// document session's alike, so the two encodings never mix within one
+// index.
 //
 //xic:hotpath
-func tupleKey(vals []string) string {
+func TupleKey(vals []string) string {
 	if len(vals) == 1 {
 		return vals[0]
 	}
@@ -621,7 +777,7 @@ func (k *keyCol) element(rn *run, attrs []xmlscan.Attr) {
 	if !tupleVals(attrs, k.idx.Attrs, k.vals) {
 		return // no tuple, cannot collide (constraint.Satisfied semantics)
 	}
-	t := tupleKey(k.vals)
+	t := TupleKey(k.vals)
 	if first, dup := k.idx.Add(t, SrcPos{Line: rn.line, Off: rn.off}); dup {
 		k.reportDup(rn, first) //xic:ignore hotalloc violation path: fires once per duplicate, steady state is valid documents
 	}
@@ -629,9 +785,12 @@ func (k *keyCol) element(rn *run, attrs []xmlscan.Attr) {
 
 // reportDup is the cold duplicate-key violation path.
 func (k *keyCol) reportDup(rn *run, first SrcPos) {
-	rn.violate(k.c, rn.path(rn.depth),
-		"duplicate key: this %s agrees with the %s at line %d on (%s)",
-		k.idx.Type, k.idx.Type, first.Line, strings.Join(k.idx.Attrs, ", "))
+	at := "an earlier " + k.idx.Type // a tree has no lines
+	if first.Line > 0 {
+		at = fmt.Sprintf("the %s at line %d", k.idx.Type, first.Line)
+	}
+	rn.violate(k.c, rn.path(rn.depth), "duplicate key: this %s agrees with %s on (%s)",
+		k.idx.Type, at, strings.Join(k.idx.Attrs, ", "))
 }
 
 // notKeyCol enforces the negation τ.l ↛ τ over a KeyIndex: some
@@ -708,7 +867,7 @@ func (ic *inclusionChild) element(rn *run, attrs []xmlscan.Attr) {
 		in.lacksReported = true
 		return
 	}
-	in.idx.AddChild(tupleKey(vals), SrcPos{Line: rn.line, Off: rn.off})
+	in.idx.AddChild(TupleKey(vals), SrcPos{Line: rn.line, Off: rn.off})
 }
 
 // reportLacks is the cold missing-tuple violation path.
@@ -726,7 +885,7 @@ func (ip *inclusionParent) element(rn *run, attrs []xmlscan.Attr) {
 	if !tupleVals(attrs, in.idx.ParentAttrs, vals) {
 		return // contributes no tuple
 	}
-	in.idx.AddParent(tupleKey(vals))
+	in.idx.AddParent(TupleKey(vals))
 }
 
 func (in *inclCol) finish(rn *run) {

@@ -2,6 +2,7 @@ package doccheck
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -209,16 +210,15 @@ func TestStreamCancellation(t *testing.T) {
 
 func TestStreamViolationCap(t *testing.T) {
 	c := newChecker(t, dbDTD, "rec.id -> rec")
-	c.MaxViolations = 5
 	var b strings.Builder
 	b.WriteString("<db>")
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 2*MaxViolations; i++ {
 		b.WriteString(`<rec id="same" grp="g"/>`)
 	}
 	b.WriteString("</db>")
 	rep := mustRun(t, c, b.String())
-	if len(rep.Violations) != 5 || !rep.Truncated {
-		t.Fatalf("violations = %d truncated = %v, want 5/true", len(rep.Violations), rep.Truncated)
+	if len(rep.Violations) != MaxViolations || !rep.Truncated {
+		t.Fatalf("violations = %d truncated = %v, want %d/true", len(rep.Violations), rep.Truncated, MaxViolations)
 	}
 	if rep.OK() {
 		t.Fatal("truncated report lost the verdict")
@@ -279,36 +279,39 @@ func TestPassMemoryFollowsTheDocument(t *testing.T) {
 	}
 }
 
-// verdicts computes the tree-path and stream-path verdicts for one
-// document. parseOK reports whether the document was checkable at all;
-// valid is only meaningful when parseOK.
-func verdicts(t *testing.T, c *Checker, doc string) (treeParse, treeValid, streamParse, streamValid bool) {
-	t.Helper()
-	tr, err := xmltree.Parse(strings.NewReader(doc))
-	if err == nil {
-		treeParse = true
-		if err := xmltree.NewValidator(c.d).Validate(tr); err == nil {
-			ok, _ := constraint.SatisfiedAll(tr, c.sigma)
-			treeValid = ok
-		}
-	}
-	rep, err := c.Run(context.Background(), strings.NewReader(doc))
-	if err == nil {
-		streamParse = true
-		streamValid = rep.OK()
-	}
-	return
-}
-
-// checkAgreement asserts the streaming verdict equals the tree verdict.
+// checkAgreement asserts that the stream pass over doc, the tree pass
+// over its parsed tree and the oracle (xmltree.Validator and
+// constraint.Satisfied) agree: on whether doc parses, on whether it is
+// valid, and — for the tree pass — on whether the tree conforms to the
+// DTD and which constraint of Σ it violates first.
 func checkAgreement(t *testing.T, c *Checker, doc string) {
 	t.Helper()
-	treeParse, treeValid, streamParse, streamValid := verdicts(t, c, doc)
-	if treeParse != streamParse {
-		t.Fatalf("parse verdicts differ: tree=%v stream=%v on:\n%s", treeParse, streamParse, doc)
+	tr, treeErr := xmltree.Parse(strings.NewReader(doc))
+	rep, streamErr := c.Run(context.Background(), strings.NewReader(doc))
+	if (treeErr == nil) != (streamErr == nil) {
+		t.Fatalf("parse verdicts differ: tree=%v stream=%v on:\n%s", treeErr, streamErr, doc)
 	}
-	if treeParse && treeValid != streamValid {
-		t.Fatalf("validity verdicts differ: tree=%v stream=%v on:\n%s", treeValid, streamValid, doc)
+	if treeErr != nil {
+		return
+	}
+	conformErr := xmltree.NewValidator(c.d).Validate(tr)
+	violated := -1 // the oracle's first violated constraint, by index in Σ
+	for i, con := range c.sigma {
+		if conformErr == nil && !constraint.Satisfied(tr, con) {
+			violated = i
+			break
+		}
+	}
+	oracleValid := conformErr == nil && violated < 0
+	if rep.OK() != oracleValid {
+		t.Fatalf("validity verdicts differ: oracle=%v stream=%v on:\n%s", oracleValid, rep.OK(), doc)
+	}
+	first, treeErr := c.RunTree(context.Background(), tr)
+	if (treeErr == nil) != (conformErr == nil) {
+		t.Fatalf("conformance verdicts differ: oracle %v, tree pass %v on:\n%s", conformErr, treeErr, doc)
+	}
+	if first != violated {
+		t.Fatalf("first violated constraint: oracle #%d, tree pass #%d of %v on:\n%s", violated, first, c.sigma, doc)
 	}
 }
 
@@ -387,4 +390,89 @@ func FuzzStreamMatchesTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc string) {
 		checkAgreement(t, c, doc)
 	})
+}
+
+// TestTreePass covers what only a tree can express: text nodes that carry
+// attributes or children, adjacent text nodes (one #PCDATA step each),
+// empty trees and cancellation.
+func TestTreePass(t *testing.T) {
+	c := newChecker(t, `
+<!ELEMENT r (t, u*)>
+<!ELEMENT t (#PCDATA, #PCDATA)>
+<!ELEMENT u EMPTY>
+<!ATTLIST u k CDATA #REQUIRED>
+`, "u.k -> u")
+	two := func() *xmltree.Tree {
+		return xmltree.NewTree(xmltree.NewElement("r").Append(
+			xmltree.NewElement("t").Append(xmltree.NewText("a"), xmltree.NewText("b"))))
+	}
+	if first, err := c.RunTree(context.Background(), two()); err != nil || first >= 0 {
+		t.Fatalf("two text nodes under (#PCDATA, #PCDATA): %v, violates #%d", err, first)
+	}
+	bad := two()
+	bad.Root.Children[0].Children[1].SetAttr("k", "1")
+	if _, err := c.RunTree(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "text node") {
+		t.Fatalf("text node with an attribute: %v", err)
+	}
+	bad = two()
+	bad.Root.Children[0].Children[0].Append(xmltree.NewElement("u").SetAttr("k", "1"))
+	if _, err := c.RunTree(context.Background(), bad); err == nil {
+		t.Fatal("text node with a child accepted")
+	}
+	if _, err := c.RunTree(context.Background(), &xmltree.Tree{}); err == nil {
+		t.Fatal("empty tree accepted")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.RunTree(ctx, two()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunTree: %v, want an error wrapping context.Canceled", err)
+	}
+}
+
+// TestTreeVerdictSurvivesTruncation fills the report with violations of
+// the second constraint: the first constraint's violation, found only at
+// end-of-document, and a later conformance violation both fall past the
+// report's limit, and RunTree still names them.
+func TestTreeVerdictSurvivesTruncation(t *testing.T) {
+	c := newChecker(t, dbDTD, "ref.to <= rec.grp\nrec.id -> rec")
+	root := xmltree.NewElement("db")
+	for i := 0; i < 2*MaxViolations; i++ {
+		root.Append(xmltree.NewElement("rec").SetAttr("id", "same").SetAttr("grp", "g"))
+	}
+	root.Append(xmltree.NewElement("ref").SetAttr("to", "nowhere"))
+	tr := xmltree.NewTree(root)
+	if first, err := c.RunTree(context.Background(), tr); err != nil || first != 0 {
+		t.Fatalf("RunTree = #%d, %v; want the inclusion, #0", first, err)
+	}
+	root.Append(xmltree.NewElement("ref")) // lacks to
+	if _, err := c.RunTree(context.Background(), tr); err == nil {
+		t.Fatal("a conformance violation past the report's limit was lost")
+	}
+}
+
+// TestRunFragment checks a subtree's local conformance only: its root
+// need not be the DTD's root and its constraints are not checked.
+func TestRunFragment(t *testing.T) {
+	c := newChecker(t, dbDTD, "rec.id -> rec\nref.to => rec.id")
+	frag := func(src string) *Report {
+		t.Helper()
+		tr, err := xmltree.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.RunFragment(tr.Root)
+	}
+	if rep := frag(`<ref to="nowhere"/>`); !rep.OK() {
+		t.Fatalf("a dangling reference is not a local violation: %v", rep.Violations)
+	}
+	for src, want := range map[string]string{
+		`<rec id="1"/>`:               "lacks required attribute",
+		`<rec id="1" grp="g" x="y"/>`: "undeclared attribute",
+		`<zzz/>`:                      "not declared",
+		`<db><ref to="1"/><rec id="1" grp="g"/></db>`: "do not match content model",
+	} {
+		if rep := frag(src); rep.OK() || !strings.Contains(rep.Violations[0].Msg, want) {
+			t.Errorf("%s: violations %v, want one mentioning %q", src, rep.Violations, want)
+		}
+	}
 }

@@ -300,3 +300,23 @@ type IndexEntry struct {
 	Key  *KeyIndex
 	Incl *InclusionIndex
 }
+
+// Violated reads the constraint's verdict from its index counters in
+// O(1).
+//
+//xic:hotpath
+func (e *IndexEntry) Violated() bool {
+	switch e.Con.(type) {
+	case constraint.Key:
+		return e.Key.Dups() > 0
+	case constraint.NotKey:
+		return e.Key.Dups() == 0
+	case constraint.ForeignKey:
+		return e.Key.Dups() > 0 || e.Incl.Unmatched() > 0 || e.Incl.Lacking() > 0
+	case constraint.Inclusion:
+		return e.Incl.Unmatched() > 0 || e.Incl.Lacking() > 0
+	case constraint.NotInclusion:
+		return e.Incl.Unmatched() == 0 && e.Incl.Lacking() == 0
+	}
+	return false
+}

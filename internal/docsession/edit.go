@@ -1,7 +1,6 @@
 package docsession
 
 import (
-	"xic/internal/constraint"
 	"xic/internal/doccheck"
 	"xic/internal/dtd"
 	"xic/internal/xmlscan"
@@ -176,9 +175,9 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 		if !ok {
 			continue // defensive: conforming elements carry full tuples
 		}
-		oldT := tupleKey(oldVals)
+		oldT := doccheck.TupleKey(oldVals)
 		newVals, _ := s.tupleOfWith(n, b.attrs, op.Attr, op.Value)
-		newT := tupleKey(newVals)
+		newT := doccheck.TupleKey(newVals)
 		s.touch(b.entry)
 		switch b.role {
 		case roleKey:
@@ -280,8 +279,8 @@ func (s *Session) applyInsert(op *EditOp) *RejectedEdit {
 	if err != nil {
 		return s.structuralReject(op, "subtree XML: %v", err)
 	}
-	if rej := s.conformReject(op, sub.Root); rej != nil {
-		return rej
+	if rep := s.ck.RunFragment(sub.Root); !rep.OK() {
+		return s.structuralReject(op, "inserted subtree: %s", rep.Violations[0].Msg)
 	}
 	if !s.replay(parent, op.Index, true, sub.Root.Label) {
 		return s.contentReject(op, parent)
@@ -379,7 +378,7 @@ func (s *Session) addSubtree(sub *xmltree.Node) int {
 				}
 				continue
 			}
-			t := tupleKey(vals)
+			t := doccheck.TupleKey(vals)
 			s.touch(b.entry)
 			switch b.role {
 			case roleKey:
@@ -414,7 +413,7 @@ func (s *Session) removeSubtree(sub *xmltree.Node) int {
 				}
 				continue
 			}
-			t := tupleKey(vals)
+			t := doccheck.TupleKey(vals)
 			s.touch(b.entry)
 			switch b.role {
 			case roleKey:
@@ -431,50 +430,6 @@ func (s *Session) removeSubtree(sub *xmltree.Node) int {
 		return true
 	})
 	return count
-}
-
-// conformReject checks the inserted subtree's local conformance (declared
-// types, exact attribute sets, content models) and returns a rejection
-// for the first failure in document order.
-func (s *Session) conformReject(op *EditOp, sub *xmltree.Node) *RejectedEdit {
-	var rej *RejectedEdit
-	walk(sub, func(n *xmltree.Node) bool {
-		rej = s.conformElement(op, n)
-		return rej == nil
-	})
-	return rej
-}
-
-// conformElement checks one inserted element's type, attributes and
-// children sequence.
-func (s *Session) conformElement(op *EditOp, n *xmltree.Node) *RejectedEdit {
-	decl := s.d.Element(n.Label)
-	if decl == nil {
-		return s.structuralReject(op, "inserted element type %q is not declared", n.Label)
-	}
-	for _, want := range decl.Attrs {
-		if _, ok := n.Attrs[want]; !ok {
-			return s.structuralReject(op, "inserted %s element lacks required attribute %q", n.Label, want)
-		}
-	}
-	if len(n.Attrs) > len(decl.Attrs) {
-		for name := range n.Attrs {
-			if !decl.HasAttr(name) {
-				return s.structuralReject(op, "inserted %s element has undeclared attribute %q", n.Label, name)
-			}
-		}
-	}
-	r := s.runFor(n.Label)
-	r.Reset()
-	for _, c := range n.Children {
-		if !r.Step(c.Label) {
-			return s.structuralReject(op, "children of inserted %s do not match content model %s", n.Label, decl.Content)
-		}
-	}
-	if !r.Accepting() {
-		return s.structuralReject(op, "children of inserted %s do not match content model %s: sequence is incomplete", n.Label, decl.Content)
-	}
-	return nil
 }
 
 // ---- undo log ----------------------------------------------------------
@@ -543,29 +498,9 @@ func (s *Session) touch(entry int) {
 //xic:hotpath
 func (s *Session) anyViolated() bool {
 	for i := 0; i < s.ntouched; i++ {
-		if entryViolated(&s.idx.Entries[s.touched[i]]) {
+		if s.idx.Entries[s.touched[i]].Violated() {
 			return true
 		}
-	}
-	return false
-}
-
-// entryViolated reads one constraint's verdict from its index counters in
-// O(1).
-//
-//xic:hotpath
-func entryViolated(e *doccheck.IndexEntry) bool {
-	switch e.Con.(type) {
-	case constraint.Key:
-		return e.Key.Dups() > 0
-	case constraint.NotKey:
-		return e.Key.Dups() == 0
-	case constraint.ForeignKey:
-		return e.Key.Dups() > 0 || e.Incl.Unmatched() > 0 || e.Incl.Lacking() > 0
-	case constraint.Inclusion:
-		return e.Incl.Unmatched() > 0 || e.Incl.Lacking() > 0
-	case constraint.NotInclusion:
-		return e.Incl.Unmatched() == 0 && e.Incl.Lacking() == 0
 	}
 	return false
 }

@@ -76,7 +76,7 @@ func (s *Session) buildRejection(op *EditOp, sub *xmltree.Node) *RejectedEdit {
 	rej := &RejectedEdit{Report: doccheck.Report{Elements: s.elems}}
 	for i := 0; i < s.ntouched; i++ {
 		e := &s.idx.Entries[s.touched[i]]
-		if !entryViolated(e) {
+		if !e.Violated() {
 			continue
 		}
 		s.describeViolation(op, sub, e, rej)
@@ -141,7 +141,7 @@ func (s *Session) dupViolations(op *EditOp, sub *xmltree.Node, key *doccheck.Key
 		if !ok {
 			return
 		}
-		if key.Count(tupleKey(vals)) > 1 {
+		if key.Count(doccheck.TupleKey(vals)) > 1 {
 			rej.Report.Violations = append(rej.Report.Violations, doccheck.Violation{
 				Path: op.Path, Offset: -1, Constraint: con,
 				Msg: fmt.Sprintf("duplicate key: this %s would agree with an existing %s on (%s)", key.Type, key.Type, attrs),
@@ -159,7 +159,7 @@ func (s *Session) dupViolations(op *EditOp, sub *xmltree.Node, key *doccheck.Key
 			if n.Label != key.Type {
 				return true
 			}
-			if vals, ok := s.tupleOf(n, key.Attrs); ok && key.Count(tupleKey(vals)) > 1 {
+			if vals, ok := s.tupleOf(n, key.Attrs); ok && key.Count(doccheck.TupleKey(vals)) > 1 {
 				rej.Report.Violations = append(rej.Report.Violations, doccheck.Violation{
 					Path: op.Path, Offset: -1, Constraint: con,
 					Msg: fmt.Sprintf("duplicate key: an inserted %s agrees with an existing %s on (%s)", key.Type, key.Type, attrs),

@@ -79,6 +79,7 @@ type plan struct {
 type Session struct {
 	mu    sync.Mutex
 	d     *dtd.DTD
+	ck    *doccheck.Checker
 	v     *xmltree.Validator
 	plan  *plan
 	tree  *xmltree.Tree
@@ -104,12 +105,13 @@ type Session struct {
 // session over it: the streaming checker fills the constraint indexes
 // while a tree builder consumes the same events and indexes each wide
 // parent's children at its end tag. ck and v must come from the same
-// compiled specification. Invalid documents yield an
-// *InvalidDocumentError carrying the full report; malformed ones the
-// checker's parse error.
+// compiled specification; ck also checks the subtrees that edits insert.
+// Invalid documents yield an *InvalidDocumentError carrying the full
+// report; malformed ones the checker's parse error.
 func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.Reader) (*Session, error) {
 	s := &Session{
 		d:       v.DTD(),
+		ck:      ck,
 		v:       v,
 		wide:    make(map[*xmltree.Node]*kids),
 		runPool: make(map[string]*dtd.Run),
@@ -200,14 +202,6 @@ func (s *Session) Elements() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.elems
-}
-
-// Report returns the current document report. By the session invariant
-// it is always OK; it carries the live element count.
-func (s *Session) Report() doccheck.Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return doccheck.Report{Elements: s.elems}
 }
 
 // Document serializes the current document as indented XML.
@@ -369,17 +363,6 @@ func (s *Session) tupleOfWith(n *xmltree.Node, attrs []string, attr, value strin
 		vals[i] = v
 	}
 	return vals, true
-}
-
-// tupleKey encodes a tuple as a comparable index key: the unary case is
-// the raw value with no allocation, mirroring doccheck.
-//
-//xic:hotpath
-func tupleKey(vals []string) string {
-	if len(vals) == 1 {
-		return vals[0]
-	}
-	return constraint.TupleKey(vals) //xic:ignore hotalloc multi-attribute tuples pay one encode per edit; the common unary case is the raw value
 }
 
 // hasAttr reports whether attrs contains a.

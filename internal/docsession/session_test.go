@@ -744,3 +744,86 @@ func inCandidate(t *testing.T, s *Session, op EditOp, f func()) {
 	f()
 	s.rollback()
 }
+
+// TestMultiAttributeEdits edits a session under a two-attribute key and a
+// two-attribute foreign key. Each rejected op must name the composite
+// tuples it would duplicate or leave dangling, read in the op's candidate
+// index state; each accepted counterpart must commit. The document holds
+// course (cs, 1) next to (c, s1), two tuples that an encoding without
+// length prefixes would confuse.
+func TestMultiAttributeEdits(t *testing.T) {
+	const catDTD = `
+<!ELEMENT cat (course*, enroll*)>
+<!ELEMENT course EMPTY>
+<!ELEMENT enroll EMPTY>
+<!ATTLIST course dept CDATA #REQUIRED>
+<!ATTLIST course no CDATA #REQUIRED>
+<!ATTLIST enroll dept CDATA #REQUIRED>
+<!ATTLIST enroll no CDATA #REQUIRED>
+`
+	const catSigma = "course(dept, no) -> course\nenroll(dept, no) => course(dept, no)"
+	const doc = `<cat><course dept="cs" no="1"/><course dept="c" no="s1"/><course dept="cs" no="2"/>` +
+		`<course dept="ma" no="1"/><enroll dept="cs" no="2"/></cat>`
+	tuple := func(vals ...string) string { return doccheck.TupleKey(vals) }
+	for _, c := range []struct {
+		name     string
+		op       EditOp
+		dups     []string // key tuples the op would make occur twice
+		dangling []string // reference tuples the op would leave unmatched
+		msg      string
+	}{
+		{name: "setattr collides", op: SetAttr("cat/course[3]", "dept", "cs"),
+			dups: []string{tuple("cs", "1")}, msg: "duplicate key"},
+		{name: "setattr distinct", op: SetAttr("cat/course[3]", "dept", "ee")},
+		{name: "insert repeats", op: InsertSubtree("cat", 4, `<course dept="cs" no="2"/>`),
+			dups: []string{tuple("cs", "2")}, msg: "duplicate key"},
+		{name: "insert distinct", op: InsertSubtree("cat", 4, `<course dept="cs" no="3"/>`)},
+		{name: "delete leaves a reference dangling", op: DeleteSubtree("cat/course[2]"),
+			dangling: []string{tuple("cs", "2")}, msg: "would match no course element"},
+		{name: "delete unreferenced", op: DeleteSubtree("cat/course[1]")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := openLib(t, catDTD, catSigma, doc)
+			key, fk := s.idx.Entries[0], s.idx.Entries[1]
+			if len(c.dups)+len(c.dangling) > 0 {
+				inCandidate(t, s, c.op, func() {
+					for _, tu := range c.dups {
+						if key.Key.Count(tu) != 2 || fk.Key.Count(tu) != 2 {
+							t.Errorf("tuple %q counted %d and %d times, want 2", tu, key.Key.Count(tu), fk.Key.Count(tu))
+						}
+					}
+					var got []string
+					for _, m := range s.dangling(fk.Incl) {
+						got = append(got, m.t)
+					}
+					if !slices.Equal(got, c.dangling) {
+						t.Errorf("dangling tuples %q, want %q", got, c.dangling)
+					}
+				})
+			}
+			res := s.Apply(c.op)
+			if c.msg == "" {
+				if res.Rejected != nil {
+					t.Fatalf("rejected: %+v", res.Rejected)
+				}
+				revalidate(t, s, catDTD, catSigma)
+				return
+			}
+			if res.Rejected == nil {
+				t.Fatal("accepted")
+			}
+			vs := res.Rejected.Report.Violations
+			if len(vs) == 0 {
+				t.Fatal("rejection carries no violations")
+			}
+			for _, v := range vs {
+				if v.Constraint == nil || !strings.Contains(v.Msg, c.msg) || !strings.Contains(v.Msg, "(dept, no)") {
+					t.Errorf("violation %+v, want one of a constraint on (dept, no) saying %q", v, c.msg)
+				}
+			}
+			if s.Document() != openLib(t, catDTD, catSigma, doc).Document() {
+				t.Fatal("rejected edit changed the document")
+			}
+		})
+	}
+}

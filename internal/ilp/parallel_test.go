@@ -103,13 +103,28 @@ func TestParallelAgainstPresolveOff(t *testing.T) {
 	}
 }
 
-// TestParallelNodeLimit: the reservation discipline keeps Nodes ≤ MaxNodes
-// exactly, even when eight workers race for the budget.
-func TestParallelNodeLimit(t *testing.T) {
-	res, err := Solve(context.Background(), oddCycleSystem(), &Options{MaxNodes: 2, Parallelism: 8, DisablePresolve: true})
-	if err == nil {
-		t.Skip("solved within the budget; limit not exercised")
+// oddCycleEqualities is x+y = y+z = x+z = 1: the relaxation's only point
+// is (½, ½, ½), branching on any variable leaves two LP-infeasible
+// children, and no equality row fails the GCD test. Refuting it therefore
+// takes exactly three LP solves under every worker schedule.
+func oddCycleEqualities() *linear.System {
+	s := linear.NewSystem()
+	x, y, z := s.Var("x"), s.Var("y"), s.Var("z")
+	for _, pair := range [][2]int{{x, y}, {y, z}, {x, z}} {
+		s.AddEq(linear.Term(pair[0], 1).Plus(pair[1], 1), 1)
 	}
+	return s
+}
+
+// TestParallelNodeLimit: the reservation discipline keeps Nodes ≤ MaxNodes
+// exactly, even when eight workers race for the budget. The system needs
+// three nodes whatever the schedule, so the limit is always reached.
+func TestParallelNodeLimit(t *testing.T) {
+	res, err := Solve(context.Background(), oddCycleEqualities(), &Options{MaxNodes: 3, Parallelism: 8, DisablePresolve: true})
+	if err != nil || res.Feasible || res.Nodes != 3 {
+		t.Fatalf("budget 3: Result %+v, error %v; want infeasible in exactly 3 nodes", res, err)
+	}
+	res, err = Solve(context.Background(), oddCycleEqualities(), &Options{MaxNodes: 2, Parallelism: 8, DisablePresolve: true})
 	if !errors.Is(err, ErrNodeLimit) {
 		t.Fatalf("error = %v, want ErrNodeLimit", err)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xic"
 )
@@ -422,4 +424,145 @@ func TestSolveStatsNeverDecrease(t *testing.T) {
 	if got := r.SolveStats().Solves; got == 0 || got > workers*rounds {
 		t.Errorf("Solves = %d after %d checks, want between 1 and %d", got, workers*rounds, workers*rounds)
 	}
+}
+
+// within runs f and fails the test if it does not return promptly: a
+// registry call that waits on a lock some earlier call left held fails
+// fast instead of hanging the package.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return: a registry lock was left held", what)
+	}
+}
+
+// TestBuildPanicReleasesLock panics inside a build: the panic reaches the
+// caller, the tier counts one error, and the registry stays usable — the
+// same key then builds.
+func TestBuildPanicReleasesLock(t *testing.T) {
+	r := New(8)
+	key := xic.FingerprintDTD(teachersDTD)
+	within(t, "a panicking build", func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("recovered %v, want the build's panic", p)
+			}
+		}()
+		r.do(r.schemas, key, func() (any, time.Duration, error) { panic("boom") })
+	})
+	within(t, "the registry after a panicking build", func() {
+		if st := r.Stats(); st.Schemas.Errors != 1 || st.Schemas.Misses != 1 {
+			t.Errorf("schema tier: %d errors, %d misses after one panicking build; want 1, 1", st.Schemas.Errors, st.Schemas.Misses)
+		}
+		if _, ok := r.Get(key); ok || r.Len() != 0 {
+			t.Error("a panicking build left an entry behind")
+		}
+		if _, cached, err := r.CompileSchema(teachersDTD); err != nil || cached {
+			t.Errorf("rebuilding the key: cached=%v err=%v, want a fresh build", cached, err)
+		}
+		if _, _, err := r.Compile(teachersDTD, teachersXIC); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestJoinOnInflightBuildIsAHit parks a second caller on an in-flight
+// build: it gets the builder's value, counts as a hit, and leaves the
+// registry unlocked.
+func TestJoinOnInflightBuildIsAHit(t *testing.T) {
+	r := New(8)
+	started, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	releaseBuild := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseBuild() // a failing test must not leave the build parked
+	go r.do(r.schemas, "k", func() (any, time.Duration, error) {
+		close(started)
+		<-release
+		return "built", 0, nil
+	})
+	<-started
+	type result struct {
+		v      any
+		cached bool
+		err    error
+	}
+	joined := make(chan result, 1)
+	go func() {
+		v, cached, err := r.do(r.schemas, "k", func() (any, time.Duration, error) {
+			t.Error("a second build ran for an in-flight key")
+			return nil, 0, errors.New("duplicate build")
+		})
+		joined <- result{v, cached, err}
+	}()
+	deadline := time.After(10 * time.Second)
+	for !parkedInDo() {
+		select {
+		case <-deadline:
+			t.Fatal("the second caller never waited on the in-flight build")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	releaseBuild()
+	select {
+	case got := <-joined:
+		if got.v != "built" || !got.cached || got.err != nil {
+			t.Errorf("joined caller got %v, cached=%v, err=%v; want the builder's value as a hit", got.v, got.cached, got.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joined caller never returned")
+	}
+	within(t, "Stats after a join", func() {
+		if st := r.Stats(); st.Schemas.Hits != 1 || st.Schemas.Misses != 1 {
+			t.Errorf("schema tier: %d hits, %d misses; want 1, 1", st.Schemas.Hits, st.Schemas.Misses)
+		}
+	})
+}
+
+// parkedInDo reports whether some goroutine is blocked on a channel
+// receive in Registry.do itself — a caller waiting for another caller's
+// in-flight build — rather than in a build that do called.
+func parkedInDo() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "[chan receive") {
+			continue
+		}
+		for _, line := range strings.Split(g, "\n")[1:] {
+			if strings.HasPrefix(line, "\t") || strings.HasPrefix(line, "runtime.") {
+				continue
+			}
+			if strings.HasPrefix(line, "xic/internal/registry.(*Registry).do(") {
+				return true
+			}
+			break
+		}
+	}
+	return false
+}
+
+// TestSchemasLenReleasesLock calls SchemasLen and then another method
+// that takes the registry's lock.
+func TestSchemasLenReleasesLock(t *testing.T) {
+	r := New(8)
+	if _, _, err := r.CompileSchema(teachersDTD); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "SchemasLen", func() {
+		if n := r.SchemasLen(); n != 1 {
+			t.Errorf("SchemasLen = %d, want 1", n)
+		}
+	})
+	within(t, "Len after SchemasLen", func() {
+		if n := r.Len(); n != 0 {
+			t.Errorf("Len = %d, want 0", n)
+		}
+	})
 }

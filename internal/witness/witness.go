@@ -16,9 +16,10 @@
 //     |ext(τ.l)| cardinalities: nested prefix pools for attributes only
 //     constrained by keys and positive inclusions (Lemma 4.4), and
 //     intersection-cell pools for attributes under negated inclusion
-//     constraints (Lemma 5.2);
-//  5. verifies the result independently: the tree must conform to the
-//     original DTD and satisfy every constraint, or Build fails loudly.
+//     constraints (Lemma 5.2).
+//
+// Build does not check the result: its callers in package core run the
+// document checker over every tree they return.
 package witness
 
 import (
@@ -50,22 +51,18 @@ func (l *Limits) maxNodes() int {
 	return l.MaxNodes
 }
 
-// Build constructs a verified witness document from a solution of the
-// encoding. The constraint set must be the same set that was added to the
-// encoding; it is re-checked on the finished tree. The context is checked
-// between construction stages and inside the node-allocation loop, so
-// cancelling it aborts even very large witnesses promptly; a nil context
-// never cancels.
+// Build constructs a witness document from a solution of the encoding.
+// set is the constraint set that was added to the encoding; Build reads
+// the encoding alone, and the caller checks the finished tree against
+// set. The context is checked between construction stages and inside the
+// node-allocation loop, so cancelling it aborts even very large witnesses
+// promptly; a nil context never cancels.
 func Build(ctx context.Context, enc *cardinality.Encoding, set []constraint.Constraint, values []*big.Int, lim *Limits) (*xmltree.Tree, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	b := &builder{ctx: ctx, enc: enc, values: values, lim: lim}
-	tree, err := b.run(set)
-	if err != nil {
-		return nil, err
-	}
-	return tree, nil
+	return b.run()
 }
 
 type builder struct {
@@ -113,7 +110,7 @@ type typedNode struct {
 	slot int           // index within parent's children
 }
 
-func (b *builder) run(set []constraint.Constraint) (*xmltree.Tree, error) {
+func (b *builder) run() (*xmltree.Tree, error) {
 	simp := b.enc.Simp
 	d := simp.DTD
 
@@ -292,14 +289,6 @@ func (b *builder) run(set []constraint.Constraint) (*xmltree.Tree, error) {
 	}
 	if err := b.assignValues(tree); err != nil {
 		return nil, err
-	}
-
-	// 6. Independent verification.
-	if err := xmltree.NewValidator(simp.Orig).Validate(tree); err != nil {
-		return nil, fmt.Errorf("witness: constructed tree fails DTD validation: %w", err)
-	}
-	if ok, violated := constraint.SatisfiedAll(tree, set); !ok {
-		return nil, fmt.Errorf("witness: constructed tree violates %s", violated)
 	}
 	return tree, nil
 }

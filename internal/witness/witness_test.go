@@ -12,7 +12,9 @@ import (
 )
 
 // buildFor solves Ψ(D,Σ) and constructs a witness, failing the test on any
-// stage error. It returns nil when the system is infeasible.
+// stage error and on a witness that the oracle (xmltree.Validator and
+// constraint.SatisfiedAll) rejects. It returns nil when the system is
+// infeasible.
 func buildFor(t *testing.T, d *dtd.DTD, src string) *xmltree.Tree {
 	t.Helper()
 	set := constraint.MustParse(src)
@@ -33,6 +35,12 @@ func buildFor(t *testing.T, d *dtd.DTD, src string) *xmltree.Tree {
 	tree, err := Build(context.Background(), enc, set, res.Values, nil)
 	if err != nil {
 		t.Fatalf("Build: %v\nsystem:\n%s", err, enc.Sys)
+	}
+	if err := xmltree.NewValidator(d).Validate(tree); err != nil {
+		t.Fatalf("witness fails the DTD: %v\n%s", err, tree)
+	}
+	if ok, violated := constraint.SatisfiedAll(tree, set); !ok {
+		t.Fatalf("witness violates %s:\n%s", violated, tree)
 	}
 	return tree
 }

@@ -1,148 +1,57 @@
 package xmltree
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"xic/internal/dtd"
 )
 
-// Validator checks trees for conformance with a fixed DTD (T ⊨ D,
-// Definition 2.2). Until CompileAll runs it compiles one content-model
-// automaton per element type on first use, guarded by a mutex; CompileAll
-// freezes the complete cache into an immutable map read without any lock,
-// so concurrent Validate (and streaming ValidateStream) calls never
-// serialize on the hot path. It must not be shared across mutations of the
-// DTD.
+// Validator holds the content-model automata of a fixed DTD, compiled by
+// NewValidator and read without locks. The document checker
+// (internal/doccheck) steps them; Validate is the tests' independent
+// oracle for conformance (T ⊨ D, Definition 2.2). It must not be shared
+// across mutations of the DTD.
 type Validator struct {
-	dtd *dtd.DTD
-
-	// frozen, once non-nil, holds the automaton of every declared element
-	// type and is never mutated again; readers load it atomically and skip
-	// the mutex entirely.
-	frozen atomic.Pointer[map[string]*dtd.Automaton]
-
-	mu       sync.Mutex
+	dtd      *dtd.DTD
 	automata map[string]*dtd.Automaton
 }
 
-// NewValidator returns a validator for the DTD.
+// NewValidator compiles the content-model automaton of every element type
+// the DTD declares.
 func NewValidator(d *dtd.DTD) *Validator {
-	return &Validator{dtd: d, automata: make(map[string]*dtd.Automaton)}
+	v := &Validator{dtd: d, automata: make(map[string]*dtd.Automaton, len(d.Types()))}
+	for _, t := range d.Types() {
+		v.automata[t] = dtd.Compile(d.Element(t).Content)
+	}
+	return v
 }
 
-// CompileAll eagerly compiles the content-model automata of every declared
-// element type and freezes them into an immutable map, so later Validate
-// calls are lock-free reads. Compiled engines call this once at build time
-// to keep automaton construction off the concurrent serving path.
-func (v *Validator) CompileAll() {
-	if v.frozen.Load() != nil {
-		return
-	}
-	m := make(map[string]*dtd.Automaton, len(v.dtd.Types()))
-	for _, t := range v.dtd.Types() {
-		m[t] = v.automaton(t, v.dtd.Element(t).Content)
-	}
-	v.frozen.Store(&m)
-}
+// CompileAll does nothing: NewValidator compiles every automaton. It
+// remains for its one caller, perfbench/trace/docs.go:32.
+func (v *Validator) CompileAll() {}
 
 // Automaton returns the compiled content-model automaton of the element
-// type, or nil when the type is not declared. It is the accessor the
-// streaming document checker feeds child labels through incrementally.
+// type, or nil when the type is not declared.
 func (v *Validator) Automaton(label string) *dtd.Automaton {
-	e := v.dtd.Element(label)
-	if e == nil {
-		return nil
-	}
-	return v.automaton(label, e.Content)
-}
-
-// automaton returns the compiled content-model automaton of an element
-// type, compiling and caching it on first use. After CompileAll it is a
-// lock-free map read.
-func (v *Validator) automaton(label string, content dtd.Regex) *dtd.Automaton {
-	if m := v.frozen.Load(); m != nil {
-		if a, ok := (*m)[label]; ok {
-			return a
-		}
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	a, ok := v.automata[label]
-	if !ok {
-		a = dtd.Compile(content)
-		v.automata[label] = a
-	}
-	return a
+	return v.automata[label]
 }
 
 // DTD returns the DTD the validator checks against.
 func (v *Validator) DTD() *dtd.DTD { return v.dtd }
 
 // Validate reports whether the tree conforms to the DTD, returning a
-// descriptive error naming the offending node otherwise.
+// descriptive error naming the first offending node otherwise.
 func (v *Validator) Validate(t *Tree) error {
-	return v.ValidateContext(nil, t) // ValidateContext tolerates a nil ctx
-}
-
-// cancelCheckStride is how many nodes a validation walk visits between
-// context checks: large enough that the atomic-free counter work is noise,
-// small enough that cancellation lands within microseconds on any tree.
-const cancelCheckStride = 4096
-
-// ValidateContext is Validate under a context: the conformance walk checks
-// ctx every few thousand nodes, so cancelling it aborts validation of even
-// a multi-million-node tree promptly with an error wrapping ctx.Err().
-func (v *Validator) ValidateContext(ctx context.Context, t *Tree) error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("xmltree: empty tree")
 	}
 	if t.Root.Label != v.dtd.Root {
 		return fmt.Errorf("xmltree: root is %q, DTD requires %q", t.Root.Label, v.dtd.Root)
 	}
-	w := walk{t: t}
-	if ctx != nil {
-		w.done = ctx.Done()
-		w.ctxErr = ctx.Err
-	}
-	return v.validateNode(&w, t.Root)
+	return v.validateNode(t, t.Root)
 }
 
-// walk carries the per-validation traversal state: the tree (for paths) and
-// the cancellation countdown. done == nil means an uncancellable context,
-// for which the walk skips the checks entirely.
-type walk struct {
-	t      *Tree
-	done   <-chan struct{}
-	ctxErr func() error
-	budget int
-}
-
-// cancelled reports ctx cancellation every cancelCheckStride visits.
-func (w *walk) cancelled() error {
-	if w.done == nil {
-		return nil
-	}
-	w.budget--
-	if w.budget > 0 {
-		return nil
-	}
-	w.budget = cancelCheckStride
-	select {
-	case <-w.done:
-		return fmt.Errorf("xmltree: validation aborted: %w", w.ctxErr())
-	default:
-		return nil
-	}
-}
-
-func (v *Validator) validateNode(w *walk, n *Node) error {
-	t := w.t
-	if err := w.cancelled(); err != nil {
-		return err
-	}
+func (v *Validator) validateNode(t *Tree, n *Node) error {
 	if n.IsText() {
 		if len(n.Children) > 0 || len(n.Attrs) > 0 {
 			return fmt.Errorf("xmltree: text node with children or attributes at %s", t.Path(n))
@@ -172,13 +81,12 @@ func (v *Validator) validateNode(w *walk, n *Node) error {
 	for i, c := range n.Children {
 		labels[i] = c.Label
 	}
-	a := v.automaton(n.Label, decl.Content)
-	if !a.Match(labels) {
+	if !v.automata[n.Label].Match(labels) {
 		return fmt.Errorf("xmltree: children of %s do not match content model %s: %v",
 			t.Path(n), decl.Content, labels)
 	}
 	for _, c := range n.Children {
-		if err := v.validateNode(w, c); err != nil {
+		if err := v.validateNode(t, c); err != nil {
 			return err
 		}
 	}

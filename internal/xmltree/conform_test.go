@@ -7,15 +7,14 @@ import (
 	"xic/internal/dtd"
 )
 
-// TestFrozenValidatorConcurrent checks that a CompileAll'd validator serves
-// concurrent Validate calls correctly; run with -race it also proves the
-// frozen-cache reads are synchronization-free and safe.
+// TestFrozenValidatorConcurrent checks that a validator serves concurrent
+// Validate calls correctly; run with -race it also proves the compiled
+// automata are read without synchronization safely.
 func TestFrozenValidatorConcurrent(t *testing.T) {
 	d := dtd.Teachers()
 	v := NewValidator(d)
-	v.CompileAll()
 	if v.Automaton("teacher") == nil {
-		t.Fatal("Automaton(teacher) = nil after CompileAll")
+		t.Fatal("Automaton(teacher) = nil")
 	}
 	if v.Automaton("nosuch") != nil {
 		t.Fatal("Automaton(nosuch) != nil")
@@ -34,15 +33,4 @@ func TestFrozenValidatorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestLazyValidatorStillCompiles covers the pre-freeze mutex path.
-func TestLazyValidatorStillCompiles(t *testing.T) {
-	v := NewValidator(dtd.Teachers())
-	if err := v.Validate(Figure1()); err != nil {
-		t.Fatalf("lazy Validate: %v", err)
-	}
-	if v.Automaton("subject") == nil {
-		t.Fatal("Automaton(subject) = nil on lazy validator")
-	}
 }

@@ -76,21 +76,23 @@ type Tree struct {
 func NewTree(root *Node) *Tree { return &Tree{Root: root} }
 
 // Walk visits every node of the tree in document order (pre-order). The
-// visit function may return false to prune the subtree below a node.
+// visit function may return false to prune the subtree below a node. The
+// walk does not recurse, so no depth of tree can overflow the stack.
 func (t *Tree) Walk(visit func(*Node) bool) {
 	if t == nil || t.Root == nil {
 		return
 	}
-	var rec func(*Node)
-	rec = func(n *Node) {
+	stack := []*Node{t.Root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if !visit(n) {
-			return
+			continue
 		}
-		for _, c := range n.Children {
-			rec(c)
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			stack = append(stack, n.Children[i])
 		}
 	}
-	rec(t.Root)
 }
 
 // Ext returns ext(τ): all nodes labeled with the given element type, in

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -59,6 +60,35 @@ func TestWalkPrune(t *testing.T) {
 	// Root plus its two teacher children.
 	if count != 3 {
 		t.Errorf("visited %d nodes with pruning, want 3", count)
+	}
+}
+
+// TestWalkDeepChain walks a chain far deeper than a 1 MB goroutine stack
+// could recurse through: a recursive Walk dies of stack overflow here.
+func TestWalkDeepChain(t *testing.T) {
+	const depth = 100000
+	root := NewElement("a").SetAttr("k", "v")
+	n := root
+	for i := 1; i < depth; i++ {
+		c := NewElement("a").SetAttr("k", "v")
+		n.Append(c)
+		n = c
+	}
+	tr := NewTree(root)
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	visited := 0
+	tr.Walk(func(*Node) bool {
+		visited++
+		return true
+	})
+	if visited != depth {
+		t.Fatalf("Walk visited %d nodes, want %d", visited, depth)
+	}
+	if got := len(tr.Ext("a")); got != depth {
+		t.Fatalf("|ext(a)| = %d, want %d", got, depth)
+	}
+	if got := tr.Size(); got != 2*depth {
+		t.Fatalf("Size = %d, want %d", got, 2*depth)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"xic/internal/constraint"
 	"xic/internal/core"
 	"xic/internal/doccheck"
-	"xic/internal/xmltree"
 )
 
 // Schema is the compiled form of a DTD alone — the heavy, constraint-free
@@ -37,11 +36,10 @@ import (
 //
 // xic:frozen
 type Schema struct {
-	d         *DTD
-	eng       *core.Engine
-	validator *xmltree.Validator
-	fp        func() string // canonical DTD hash, computed at most once
-	memo      *implMemo
+	d    *DTD
+	eng  *core.Engine
+	fp   func() string // canonical DTD hash, computed at most once
+	memo *implMemo
 }
 
 // CompileDTD compiles a DTD into a Schema, eagerly paying every per-DTD
@@ -61,14 +59,11 @@ func CompileDTD(d *DTD) (*Schema, error) {
 	if err := eng.Precompile(); err != nil {
 		return nil, &SpecError{Stage: "encode", Err: err}
 	}
-	validator := xmltree.NewValidator(d)
-	validator.CompileAll() // keep automaton construction off the serving path
 	return &Schema{
-		d:         d,
-		eng:       eng,
-		validator: validator,
-		fp:        sync.OnceValue(func() string { return FingerprintDTD(d.String()) }),
-		memo:      newImplMemo(implMemoCap),
+		d:    d,
+		eng:  eng,
+		fp:   sync.OnceValue(func() string { return FingerprintDTD(d.String()) }),
+		memo: newImplMemo(implMemoCap),
 	}, nil
 }
 
@@ -119,9 +114,8 @@ func (sch *Schema) Bind(constraints ...Constraint) (*Spec, error) {
 		class:  constraint.ClassOf(constraints),
 		consFP: fingerprintConstraintSet(sigma),
 
-		eng:       sch.eng.NewChecker(),
-		validator: sch.validator,
-		stream:    doccheck.New(sch.d, sch.validator, sigma),
+		eng:    sch.eng.NewChecker(),
+		stream: doccheck.New(sch.d, sch.eng.Validator(), sigma),
 	}, nil
 }
 

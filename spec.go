@@ -10,12 +10,10 @@ import (
 	"runtime"
 	"sync"
 
-	"xic/internal/constraint"
 	"xic/internal/core"
 	"xic/internal/doccheck"
 	"xic/internal/docsession"
 	"xic/internal/ilp"
-	"xic/internal/xmltree"
 )
 
 // Spec is a compiled XML specification: a DTD together with a set of
@@ -42,9 +40,8 @@ type Spec struct {
 	class  Class
 	consFP string // fingerprint of the canonical bound set; implication-cache key part
 
-	eng       *core.Checker
-	validator *xmltree.Validator
-	stream    *doccheck.Checker
+	eng    *core.Checker
+	stream *doccheck.Checker
 
 	opt SolveOptions
 }
@@ -306,34 +303,28 @@ func (s *Spec) Diagnose(ctx context.Context) (*Diagnosis, error) {
 // the DTD and satisfy every compiled constraint. This is the validation
 // mode the paper contrasts with static consistency checking, and it works
 // for every class — including the multi-attribute classes whose static
-// problem is undecidable.
+// problem is undecidable. It runs ValidateStream's checker over the tree,
+// where each text node is one #PCDATA step.
 //
-// The signature mirrors ValidateStream: the context bounds the work, with
-// the conformance walk checking it every few thousand nodes and the
-// constraint pass checking it between constraints, so cancelling aborts
-// validation of even a huge in-memory tree with an error matching both
-// ErrCanceled and the context's own error. A nil context means no bound.
+// A valid document yields nil; one that conforms to the DTD but violates
+// the constraints a *ViolationError naming the first violated constraint
+// in compiled order; one that does not conform an error of another type.
+// Cancelling the context aborts the pass with an error matching both
+// ErrCanceled and the context's own error; a nil context means no bound.
 func (s *Spec) Validate(ctx context.Context, doc *Tree) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.validator.ValidateContext(ctx, doc); err != nil {
+	violated, err := s.stream.RunTree(ctx, doc)
+	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
 		//xic:ignore errtaxonomy conformance failures are the documented stringly result of dynamic validation
 		return err
 	}
-	done := ctx.Done()
-	for _, c := range s.sigma {
-		select {
-		case <-done:
-			return fmt.Errorf("%w: validation aborted: %w", ErrCanceled, ctx.Err())
-		default:
-		}
-		if !constraint.Satisfied(doc, c) {
-			return &ViolationError{Violated: c}
-		}
+	if violated >= 0 {
+		return &ViolationError{Violated: s.sigma[violated]}
 	}
 	return nil
 }
@@ -385,7 +376,7 @@ func (s *Spec) OpenSession(ctx context.Context, r io.Reader) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sess, err := docsession.Open(ctx, s.stream, s.validator, r)
+	sess, err := docsession.Open(ctx, s.stream, s.schema.eng.Validator(), r)
 	if err != nil {
 		var ide *docsession.InvalidDocumentError
 		if errors.As(err, &ide) {

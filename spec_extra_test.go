@@ -162,3 +162,37 @@ emp.works_in => dept.id`)
 		t.Errorf("presolve idle on an encoding-shaped system: %+v", st)
 	}
 }
+
+// TestValidateVerdictSurvivesTruncation fills the violation report with
+// more duplicate keys than it keeps: the first violated constraint in Σ
+// order, decided only at end-of-document, and a conformance violation
+// after the duplicates must still decide Validate's answer.
+func TestValidateVerdictSurvivesTruncation(t *testing.T) {
+	spec, err := CompileStrings(`
+<!ELEMENT db (rec*, ref*)>
+<!ELEMENT rec EMPTY>
+<!ELEMENT ref EMPTY>
+<!ATTLIST rec id CDATA #REQUIRED>
+<!ATTLIST ref to CDATA #REQUIRED>`, "ref.to <= rec.id\nrec.id -> rec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := strings.Repeat(`<rec id="same"/>`, 200)
+	for _, c := range []struct {
+		refs      string
+		violation bool
+	}{
+		{`<ref to="nowhere"/>`, true},
+		{`<ref to="nowhere"/><ref/>`, false}, // the second ref lacks to
+	} {
+		doc, err := ParseDocumentString("<db>" + recs + c.refs + "</db>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = spec.Validate(context.Background(), doc)
+		var ve *ViolationError
+		if got := errors.As(err, &ve); got != c.violation || err == nil || got && ve.Violated.String() != "ref.to <= rec.id" {
+			t.Errorf("%s: Validate = %v; want a ViolationError naming ref.to <= rec.id: %v", c.refs, err, c.violation)
+		}
+	}
+}

@@ -27,9 +27,11 @@
 // Positive answers come with verified witness documents; failed
 // implications come with counterexample documents. Dynamic validation
 // (checking one concrete document against a DTD and constraints) is also
-// provided, in two modes: tree-based (Spec.Validate) and single-pass
-// streaming (Spec.ValidateStream), whose memory is bounded by the
-// constraint indexes rather than the document size.
+// provided, for in-memory trees (Spec.Validate), for byte streams
+// (Spec.ValidateStream, whose memory is bounded by the constraint indexes
+// rather than the document size) and for edited documents
+// (Spec.OpenSession). One checker decides all three, and checks the
+// witnesses and counterexamples too.
 //
 // # The two-stage Schema/Spec engine
 //
@@ -150,9 +152,6 @@ type (
 	// pivots split between the int64 fast tableau and the exact big.Rat
 	// kernel, and work stealing among branch-and-bound workers.
 	SolveStats = core.SolveStats
-
-	// Validator checks documents for DTD conformance.
-	Validator = xmltree.Validator
 
 	// Report is the outcome of one streaming validation pass
 	// (Spec.ValidateStream): the violation list answers the validation
