@@ -149,8 +149,7 @@ func newServer(cfg config) *server {
 	// to the search unreduced because its int64 arithmetic overflowed
 	// (presolve_bailed), how many the no-branching fast path answered, how
 	// much the systems shrank before any simplex pivot ran, and how the
-	// pivots split between the int64 fast tableau and the exact big.Rat
-	// kernel. The nested "options" map states the SolveOptions the server
+	// pivots split between int64 and big.Rat arithmetic. The nested "options" map states the SolveOptions the server
 	// applies when a request carries no overrides (solver_parallelism 0 =
 	// one search worker per check).
 	s.vars.Set("solve", expvar.Func(func() any {

@@ -11,11 +11,10 @@ import (
 	"testing"
 )
 
-// TestListsNineAnalyzers pins the registered suite: exactly the nine
-// documented analyzers, in order — the four invariant checkers, the two
-// lock analyzers, and the interprocedural analyzers built on the
-// call-graph/summary layer.
-func TestListsNineAnalyzers(t *testing.T) {
+// TestListsFiveAnalyzers pins the registered suite: exactly the five
+// documented analyzers, in order — the three invariant checkers, then the
+// interprocedural analyzers built on the call-graph/summary layer.
+func TestListsFiveAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("xicvet -list exited %d: %s", code, stderr.String())
@@ -28,11 +27,7 @@ func TestListsNineAnalyzers(t *testing.T) {
 		}
 		names = append(names, name)
 	}
-	want := []string{
-		"ctxflow", "frozen", "ratalias", "errtaxonomy",
-		"lockorder", "lockbalance",
-		"hotalloc", "hotrecurse", "httpguard",
-	}
+	want := []string{"ctxflow", "frozen", "errtaxonomy", "hotalloc", "httpguard"}
 	if len(names) != len(want) {
 		t.Fatalf("got %d analyzers %v, want %v", len(names), names, want)
 	}
@@ -107,47 +102,6 @@ func Tweak(c *Config) { c.N = 2 }
 	}
 }
 
-// TestSeededLockInversionFails seeds the canonical AB/BA deadlock and
-// asserts the vet gate trips on it: the acceptance criterion for the
-// parallel-solver prerequisite.
-func TestSeededLockInversionFails(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	dir := seedModule(t, `// Package seeded seeds a lock-order inversion.
-package seeded
-
-import "sync"
-
-var a, b sync.Mutex
-
-// AB nests b under a.
-func AB() {
-	a.Lock()
-	b.Lock()
-	b.Unlock()
-	a.Unlock()
-}
-
-// BA nests a under b: together with AB this deadlocks under contention.
-func BA() {
-	b.Lock()
-	a.Lock()
-	a.Unlock()
-	b.Unlock()
-}
-`)
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "lockorder: lock order inversion") {
-		t.Fatalf("missing lockorder finding in output:\n%s", stdout.String())
-	}
-}
-
 // TestMalformedDirectiveIsAFinding asserts the driver-level directive
 // check: naming an unknown analyzer or omitting the reason is itself a
 // finding, so dead suppressions cannot ship silently.
@@ -182,9 +136,10 @@ func A() int {
 }
 
 // TestDirectivesKnowNewAnalyzers asserts the driver's known-name set
-// tracks the interprocedural pack: suppressions naming the new analyzers
-// are accepted, and a near-miss of a new name is flagged as unknown just
-// like a typo of an original one.
+// tracks the interprocedural pack: suppressions naming its analyzers are
+// accepted, and a near-miss of one of their names, or the name of an
+// analyzer the suite no longer has, is flagged as unknown just like a typo
+// of an original one.
 func TestDirectivesKnowNewAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go tool")
@@ -196,9 +151,9 @@ package seeded
 // typo'd name that must be flagged.
 func A() int {
 	//xic:ignore hotalloc deliberate exception for the directive test
-	//xic:ignore hotrecurse deliberate exception for the directive test
 	//xic:ignore httpguard deliberate exception for the directive test
 	//xic:ignore hotallocs typo'd new-analyzer name
+	//xic:ignore hotrecurse analyzer deleted from the suite
 	return 1
 }
 `)
@@ -209,10 +164,12 @@ func A() int {
 		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, `unknown analyzer "hotallocs"`) {
-		t.Errorf("missing unknown-analyzer finding for the typo'd name:\n%s", out)
+	for _, name := range []string{"hotallocs", "hotrecurse"} {
+		if !strings.Contains(out, "unknown analyzer \""+name+"\"") {
+			t.Errorf("missing unknown-analyzer finding for %s:\n%s", name, out)
+		}
 	}
-	for _, name := range []string{"hotalloc", "hotrecurse", "httpguard"} {
+	for _, name := range []string{"hotalloc", "httpguard"} {
 		if strings.Contains(out, "unknown analyzer \""+name+"\"") {
 			t.Errorf("directive naming %s was rejected as unknown:\n%s", name, out)
 		}
@@ -228,32 +185,23 @@ func TestTestsFlagExtendsCoverage(t *testing.T) {
 	dir := seedModule(t, `// Package seeded is clean; its test file is not.
 package seeded
 
-// A does nothing.
-func A() {}
+// Config is published at startup.
+//
+// xic:frozen
+type Config struct{ N int }
+
+// New is the constructor.
+func New() *Config { return &Config{N: 1} }
 `)
-	// A lock-order inversion confined to the test file; lockorder does not
-	// relax in test files, so -tests must surface it.
+	// A frozen violation confined to the test file; frozen does not relax
+	// in test files, so -tests must surface it.
 	testSrc := `package seeded
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-var a, b sync.Mutex
-
-func TestAB(t *testing.T) {
-	a.Lock()
-	b.Lock()
-	b.Unlock()
-	a.Unlock()
-}
-
-func TestBA(t *testing.T) {
-	b.Lock()
-	a.Lock()
-	a.Unlock()
-	b.Unlock()
+func TestTweak(t *testing.T) {
+	c := New()
+	c.N = 2
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "seed_test.go"), []byte(testSrc), 0o644); err != nil {
@@ -269,8 +217,8 @@ func TestBA(t *testing.T) {
 	if code := run([]string{"-C", dir, "-tests", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("with -tests: exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "lockorder: lock order inversion") {
-		t.Fatalf("missing lockorder finding from test file:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "frozen: write to field N of frozen type Config") {
+		t.Fatalf("missing frozen finding from test file:\n%s", stdout.String())
 	}
 }
 

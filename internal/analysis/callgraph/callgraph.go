@@ -1,5 +1,5 @@
 // Package callgraph builds a type-based call graph of the module for the
-// interprocedural analyzers (hotalloc, hotrecurse, httpguard). It is
+// interprocedural analyzers (hotalloc, httpguard). It is
 // deliberately simple — no points-to analysis — but sound enough for the
 // vet gates it powers:
 //
@@ -26,7 +26,7 @@ import (
 	"go/ast"
 	"go/types"
 
-	"xic/internal/analysis/lockset"
+	"xic/internal/analysis/calls"
 )
 
 // Node is one declared function or method of the module.
@@ -57,31 +57,6 @@ type Graph struct {
 	// SCCs lists strongly connected components in reverse topological
 	// order: every callee's component appears before its callers'.
 	SCCs [][]*Node
-
-	sccIndex map[*Node]int
-}
-
-// SCCOf returns the index into SCCs of the component containing n, or -1.
-func (g *Graph) SCCOf(n *Node) int {
-	if i, ok := g.sccIndex[n]; ok {
-		return i
-	}
-	return -1
-}
-
-// Recursive reports whether n sits on a call cycle: its component has more
-// than one member, or it calls itself.
-func (g *Graph) Recursive(n *Node) bool {
-	i := g.SCCOf(n)
-	if i >= 0 && len(g.SCCs[i]) > 1 {
-		return true
-	}
-	for _, e := range n.Calls {
-		if e.Callee == n {
-			return true
-		}
-	}
-	return false
 }
 
 // ifaceSite is an interface-method call awaiting method-set resolution.
@@ -170,7 +145,7 @@ func (b *Builder) AddPackage(files []*ast.File, pkg *types.Package, info *types.
 // collectCalls records every call site in body (literals excluded — they
 // are separate entries of n.Bodies).
 func (b *Builder) collectCalls(n *Node, body *ast.BlockStmt) {
-	lockset.WalkCalls(body, func(call *ast.CallExpr) {
+	calls.Walk(body, func(call *ast.CallExpr) {
 		// Conversions and builtins are not calls.
 		if tv, ok := n.Info.Types[call.Fun]; ok && tv.IsType() {
 			return
@@ -191,7 +166,7 @@ func (b *Builder) collectCalls(n *Node, body *ast.BlockStmt) {
 				}
 			}
 		}
-		if fn := lockset.Callee(n.Info, call); fn != nil {
+		if fn := calls.Callee(n.Info, call); fn != nil {
 			b.direct = append(b.direct, directSite{caller: n, callee: fn})
 		}
 	})
@@ -200,7 +175,7 @@ func (b *Builder) collectCalls(n *Node, body *ast.BlockStmt) {
 // Finalize resolves every recorded call site and computes the SCC
 // condensation. The builder must not be reused afterwards.
 func (b *Builder) Finalize() *Graph {
-	g := &Graph{Nodes: b.nodes, sccIndex: make(map[*Node]int)}
+	g := &Graph{Nodes: b.nodes}
 
 	for _, d := range b.direct {
 		if callee, ok := b.nodes[d.callee]; ok {
@@ -290,9 +265,6 @@ func (g *Graph) condense() {
 					if m == n {
 						break
 					}
-				}
-				for _, m := range scc {
-					g.sccIndex[m] = len(g.SCCs)
 				}
 				g.SCCs = append(g.SCCs, scc)
 			}

@@ -1,10 +1,8 @@
 // Package cfg builds intraprocedural control-flow graphs over Go function
-// bodies and runs forward dataflow analyses over them, using only the
-// standard library's go/ast and go/types. It is the flow-sensitive layer
-// under the xicvet concurrency analyzers (lockorder, lockbalance): where
-// the original suite reasoned about syntax alone, these need to know which
-// locks are held *on every path* reaching a statement, which is exactly a
-// forward must-analysis over basic blocks.
+// bodies, using only the standard library's go/ast and go/types. It is the
+// flow-sensitive layer under the HTTP status analysis (summary's status
+// classification and httpguard), which must know what every path through
+// a handler writes before it returns.
 //
 // The graph is deliberately simple: a Block is a maximal straight-line
 // sequence of ast.Nodes (statements, plus the condition/tag expressions of
@@ -19,8 +17,7 @@
 //
 // Defer statements get no special edges: they appear in-order as ordinary
 // nodes, and every analyzer decides what a registered defer means for the
-// states that reach Exit (for the lock analyzers, a deferred Unlock
-// discharges a held lock at every later return).
+// paths that reach Exit.
 package cfg
 
 import (

@@ -294,67 +294,6 @@ func TestRangeLoop(t *testing.T) {
 	}
 }
 
-// TestForwardFixpoint runs a tiny reaching analysis: count the minimum
-// number of calls to step() on any path to each block. On the diamond
-//
-//	if c { step() } else { step(); step() }
-//
-// the join (min) at the merge point must be 1.
-func TestForwardFixpoint(t *testing.T) {
-	g := build(t, "if c() {\n\tstep()\n} else {\n\tstep()\n\tstep()\n}\nmerge()")
-	steps := func(b *Block) int {
-		n := 0
-		for _, node := range b.Nodes {
-			ast.Inspect(node, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "step" {
-						n++
-					}
-				}
-				return true
-			})
-		}
-		return n
-	}
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	in, out := Forward(g, 0, min, func(a, b int) bool { return a == b }, func(b *Block, s int) int { return s + steps(b) })
-	if len(out) == 0 {
-		t.Fatal("no out states")
-	}
-	var mergeIn int = -1
-	for _, b := range g.Blocks {
-		for _, node := range b.Nodes {
-			ast.Inspect(node, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "merge" {
-						mergeIn = in[b]
-					}
-				}
-				return true
-			})
-		}
-	}
-	if mergeIn != 1 {
-		t.Fatalf("min steps at merge = %d, want 1", mergeIn)
-	}
-}
-
-// TestForwardLoopTerminates exercises fixpoint convergence over a loop
-// with a widening-free finite lattice (bool: "saw a call on every path").
-func TestForwardLoopTerminates(t *testing.T) {
-	g := build(t, "for i := 0; i < 3; i++ {\n\ttouch()\n}\nafter()")
-	and := func(a, b bool) bool { return a && b }
-	_, out := Forward(g, true, and, func(a, b bool) bool { return a == b }, func(b *Block, s bool) bool { return s })
-	if len(out) == 0 {
-		t.Fatal("loop analysis produced no states")
-	}
-}
-
 func TestDeferIsOrdinaryNode(t *testing.T) {
 	g := build(t, "mu.Lock()\ndefer mu.Unlock()\nwork()")
 	checkInvariants(t, g)

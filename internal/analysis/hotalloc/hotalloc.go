@@ -1,6 +1,7 @@
 // Package hotalloc enforces the zero-allocation contract of //xic:hotpath
-// regions: the int64 pivot kernel, the parallel search's node loop, the
-// presolve fixpoint passes, and doccheck's per-event path. A hot region —
+// regions: the simplex pivot kernel and its rat64 arithmetic, the parallel
+// search's node loop, the presolve fixpoint passes, and doccheck's
+// per-event path. A hot region —
 // a marked function's whole body (nested literals included) or a marked
 // loop's per-iteration code — must not allocate:
 //
@@ -16,9 +17,12 @@
 //     itself //xic:hotpath-marked, in which case its body is policed at
 //     its own sites and the call is free here.
 //
-// Dynamic calls through func values (the simplex interrupt hook) and
-// interface dispatch are assumed clean: the contract polices the module's
-// own discipline, not arbitrary callbacks. math/big methods are likewise
+// Dynamic calls through func values (the simplex interrupt hook),
+// interface dispatch and methods called through a type parameter are
+// assumed clean: the contract polices the module's own discipline, not
+// arbitrary callbacks. A generic kernel's arithmetic is therefore marked
+// //xic:hotpath at its concrete methods (the simplex rat64 methods), so
+// their bodies are policed at their own sites. math/big methods are likewise
 // not allocation — they write into their receiver, and steady-state
 // scratch reuse amortizes growth — while big.NewInt-style constructors
 // are. Justified exceptions (amortized deque growth, error paths that
@@ -31,8 +35,8 @@ import (
 	"go/types"
 
 	"xic/internal/analysis"
+	"xic/internal/analysis/calls"
 	"xic/internal/analysis/hotpath"
-	"xic/internal/analysis/lockset"
 	"xic/internal/analysis/summary"
 )
 
@@ -122,8 +126,8 @@ func (h *hotalloc) checkRegion(pass *analysis.Pass, facts *summary.Set, root ast
 		for _, site := range summary.AllocSites(pass.Info, r) {
 			report(site.Pos, "hot path allocates: %s", site.What)
 		}
-		lockset.WalkCalls(r, func(call *ast.CallExpr) {
-			callee := lockset.Callee(pass.Info, call)
+		calls.Walk(r, func(call *ast.CallExpr) {
+			callee := calls.Callee(pass.Info, call)
 			if callee == nil {
 				return // func-value/interface dispatch: assumed clean
 			}

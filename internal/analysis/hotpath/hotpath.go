@@ -7,7 +7,7 @@
 //     function literals included, is hot.
 //
 //     //xic:hotpath
-//     func (t *fastTableau) pivot(leave, enter int) bool { ... }
+//     func (t *tableau[T, A]) pivot(leave, enter int, piv T) { ... }
 //
 //   - On the line directly above (or trailing) a for/range statement: that
 //     loop's body is hot, the rest of the function is not.

@@ -36,8 +36,8 @@ import (
 	"go/types"
 
 	"xic/internal/analysis"
+	"xic/internal/analysis/calls"
 	"xic/internal/analysis/cfg"
-	"xic/internal/analysis/lockset"
 	"xic/internal/analysis/summary"
 )
 
@@ -159,7 +159,7 @@ func (h *httpguard) checkStatusPaths(pass *analysis.Pass, facts *summary.Set, hd
 // checkStatusConstants flags hand-rolled 4xx/5xx constants fed straight to
 // WriteHeader or http.Error.
 func (h *httpguard) checkStatusConstants(pass *analysis.Pass, body *ast.BlockStmt) {
-	lockset.WalkCalls(body, func(call *ast.CallExpr) {
+	calls.Walk(body, func(call *ast.CallExpr) {
 		var codeArg ast.Expr
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			switch {
@@ -343,7 +343,7 @@ func (h *httpguard) checkContext(pass *analysis.Pass, facts *summary.Set, hd han
 		return true
 	})
 	for _, root := range roots {
-		lockset.WalkCalls(root, func(call *ast.CallExpr) {
+		calls.Walk(root, func(call *ast.CallExpr) {
 			for _, arg := range call.Args {
 				if ac, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
 					if sel, ok := ast.Unparen(ac.Fun).(*ast.SelectorExpr); ok {
@@ -353,7 +353,7 @@ func (h *httpguard) checkContext(pass *analysis.Pass, facts *summary.Set, hd han
 					}
 				}
 			}
-			callee := lockset.Callee(pass.Info, call)
+			callee := calls.Callee(pass.Info, call)
 			if callee == nil || !facts.Known(callee) {
 				return
 			}

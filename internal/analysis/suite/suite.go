@@ -9,19 +9,14 @@ import (
 	"xic/internal/analysis/errtaxonomy"
 	"xic/internal/analysis/frozen"
 	"xic/internal/analysis/hotalloc"
-	"xic/internal/analysis/hotrecurse"
 	"xic/internal/analysis/httpguard"
-	"xic/internal/analysis/lockbalance"
-	"xic/internal/analysis/lockorder"
-	"xic/internal/analysis/ratalias"
 	"xic/internal/analysis/summary"
 )
 
-// Analyzers returns the full xicvet suite in reporting order: the four
-// invariant checkers, the two lock analyzers built on the CFG/dataflow
-// layer (see internal/analysis/cfg), and the interprocedural analyzers
-// built on the call-graph/summary layer (see internal/analysis/callgraph
-// and internal/analysis/summary). The interprocedural analyzers share one
+// Analyzers returns the full xicvet suite in reporting order: the three
+// invariant checkers, then the interprocedural analyzers built on the
+// call-graph/summary layer (see internal/analysis/callgraph and
+// internal/analysis/summary). The interprocedural analyzers share one
 // summary.Shared so the module's call graph is built and solved once per
 // run, not once per analyzer.
 func Analyzers() []*analysis.Analyzer {
@@ -29,12 +24,8 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.New(),
 		frozen.New(),
-		ratalias.New(),
 		errtaxonomy.New(),
-		lockorder.New(),
-		lockbalance.New(),
 		hotalloc.NewShared(sh),
-		hotrecurse.NewShared(sh),
 		httpguard.NewShared(sh),
 	}
 }

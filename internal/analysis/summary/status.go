@@ -18,8 +18,8 @@ import (
 	"go/types"
 
 	"xic/internal/analysis/callgraph"
+	"xic/internal/analysis/calls"
 	"xic/internal/analysis/cfg"
-	"xic/internal/analysis/lockset"
 )
 
 // Count-mask bits: which total write counts are achievable.
@@ -197,7 +197,7 @@ func (a *statusAnalysis) applyNode(n ast.Node, mask uint8) uint8 {
 	if r, ok := n.(*ast.RangeStmt); ok {
 		n = r.X
 	}
-	lockset.WalkCalls(n, func(call *ast.CallExpr) {
+	calls.Walk(n, func(call *ast.CallExpr) {
 		switch a.effectOf(call) {
 		case effectExplicit:
 			if mask&(countOne|countMany) != 0 {
@@ -286,7 +286,7 @@ func (a *statusAnalysis) effectOf(call *ast.CallExpr) callEffect {
 			}
 		}
 	}
-	callee := lockset.Callee(a.info, call)
+	callee := calls.Callee(a.info, call)
 	if callee == nil {
 		// A func value (or a returned handler) invoked with w: trust it to
 		// write its one status.

@@ -33,7 +33,7 @@ import (
 	"strings"
 
 	"xic/internal/analysis/callgraph"
-	"xic/internal/analysis/lockset"
+	"xic/internal/analysis/calls"
 )
 
 // WriteStatus classifies how many HTTP status codes a function writes on
@@ -181,8 +181,8 @@ func directFacts(n *callgraph.Node) *Facts {
 				f.AllocWhy = sites[0].What
 			}
 		}
-		lockset.WalkCalls(body, func(call *ast.CallExpr) {
-			callee := lockset.Callee(n.Info, call)
+		calls.Walk(body, func(call *ast.CallExpr) {
+			callee := calls.Callee(n.Info, call)
 			if callee == nil {
 				return
 			}

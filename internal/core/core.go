@@ -271,14 +271,14 @@ type SolveStats struct {
 	FastPath uint64
 	// Nodes totals branch-and-bound nodes (LP relaxations solved).
 	Nodes uint64
-	// Pivots totals simplex pivots across both kernels (int64 fast pivots,
-	// including wasted fallback attempts, plus exact big.Rat pivots).
+	// Pivots totals simplex pivots on both number types (int64 pivots,
+	// including wasted fallback attempts, plus big.Rat pivots).
 	Pivots uint64
-	// FastPivots is the subset of Pivots performed on the overflow-checked
-	// int64 fast tableau; Pivots − FastPivots is the exact-kernel share.
+	// FastPivots is the subset of Pivots performed on overflow-checked
+	// int64; Pivots − FastPivots is the big.Rat share.
 	FastPivots uint64
-	// ExactFallbacks counts LP solves whose fast tableau overflowed and
-	// were redone on the exact big.Rat kernel.
+	// ExactFallbacks counts LP solves that overflowed int64 and were redone
+	// on big.Rat.
 	ExactFallbacks uint64
 	// Steals counts subproblems branch-and-bound workers took from a
 	// sibling's deque; 0 with one worker.

@@ -3,10 +3,16 @@ package ilp
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
+	"xic/internal/cardinality"
+	"xic/internal/dtd"
 	"xic/internal/linear"
+	"xic/internal/presolve"
+	"xic/internal/randgen"
+	"xic/internal/simplex"
 )
 
 // randomFeasibleSystem builds a system with a known integer point, plus
@@ -112,4 +118,46 @@ func BenchmarkAblationBigMVsNative(b *testing.B) {
 			}
 		}
 	})
+}
+
+// teacherLP is the presolved Ψ(D,Σ) of randgen.TeacherFamily(n), without
+// its foreign keys (so the LP is feasible and its vertex is read), as a
+// search's spec.
+func teacherLP(tb testing.TB, n int) (*problemSpec, int) {
+	tb.Helper()
+	enc, err := cardinality.EncodeDTD(dtd.Simplify(randgen.TeacherFamily(n)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := enc.AddFull(randgen.TeacherFamilyConstraints(n, false)); err != nil {
+		tb.Fatal(err)
+	}
+	pre := presolve.Run(enc.Sys)
+	if pre.Decided {
+		tb.Fatalf("presolve decided teachers-%d; the LP is never built", n)
+	}
+	return specFromSystem(pre.Sys), len(pre.Sys.Constraints())
+}
+
+// TestNodeLPAllocationsPerRow pins the allocations of one node's LP to
+// the size of its system: the search builds the rows once, so a node
+// allocates only for its tableau, its fill-in and its vertex, at most
+// maxAllocsPerRow per row of the presolved system.
+func TestNodeLPAllocationsPerRow(t *testing.T) {
+	const maxAllocsPerRow = 5
+	for _, n := range []int{3, 8} {
+		spec, rows := teacherLP(t, n)
+		root := &node{lo: make([]*big.Int, spec.n), hi: make([]*big.Int, spec.n)}
+		var sol *simplex.Solution
+		allocs := testing.AllocsPerRun(10, func() { sol = realSolveLP(context.Background(), spec, root, nil) })
+		if sol.ExactFallback {
+			t.Fatalf("teachers-%d: the root LP fell back to big.Rat", n)
+		}
+		t.Logf("teachers-%d: %d rows × %d vars, %v after %d pivots, %.0f allocations (%.1f per row)",
+			n, rows, spec.n, sol.Status, sol.Pivots, allocs, allocs/float64(rows))
+		if allocs > float64(maxAllocsPerRow*rows) {
+			t.Errorf("teachers-%d: one node LP made %.0f allocations on %d rows; want at most %d per row",
+				n, allocs, rows, maxAllocsPerRow)
+		}
+	}
 }

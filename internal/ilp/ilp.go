@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"xic/internal/linear"
 	"xic/internal/presolve"
@@ -51,12 +52,12 @@ type Options struct {
 	// count may differ, because several workers explore the tree in
 	// another order than one.
 	Parallelism int
-	// DisablePresolve skips the presolve and fast-path layer, running the
-	// full branch-and-bound search on the raw system. It exists for
-	// ablation benchmarks and cross-validation; serving paths leave it off.
+	// DisablePresolve skips presolve, running the branch-and-bound search
+	// on the raw system. It exists for ablation benchmarks and
+	// cross-validation; serving paths leave it off.
 	DisablePresolve bool
-	// DisableFastTableau forces every LP onto the exact big.Rat kernel,
-	// skipping the overflow-checked int64 fast tableau. It exists for
+	// DisableFastTableau runs every LP on the simplex kernel's big.Rat
+	// instance, skipping its overflow-checked int64 one. It exists for
 	// ablation benchmarks and cross-validation; serving paths leave it off.
 	DisableFastTableau bool
 }
@@ -116,14 +117,13 @@ type Stats struct {
 	// the witness. No branching happened.
 	FastPath bool
 	// Pivots is the total number of simplex pivots across every LP solve
-	// of the search, on both kernels: int64 fast pivots (including wasted
-	// attempts that fell back) plus exact big.Rat pivots.
+	// of the search, on both number types: int64 pivots (including wasted
+	// attempts that fell back) plus big.Rat pivots.
 	Pivots int
-	// FastPivots is the subset of Pivots performed on the int64 fast
-	// tableau.
+	// FastPivots is the subset of Pivots performed on int64.
 	FastPivots int
-	// ExactFallbacks counts LP solves whose fast tableau overflowed (or
-	// hit the magnitude cap) and were redone on the exact kernel.
+	// ExactFallbacks counts LP solves that overflowed int64 (or hit the
+	// magnitude cap) and were redone on big.Rat.
 	ExactFallbacks int
 	// Steals counts subproblems a worker took from another worker's
 	// deque; always 0 with one worker.
@@ -143,14 +143,13 @@ type Result struct {
 }
 
 // Solve decides whether the system has a nonnegative integer solution
-// satisfying all constraints and conditionals. The pipeline is: presolve
-// (package presolve) first — many encoding-shaped systems are decided or
-// drastically shrunk before any simplex pivot — then, when the surviving
-// system has no conditional constraints, a single root LP relaxation that
-// answers infeasible/integral outcomes directly, and only then the full
-// branch-and-bound search. The context is checked once per node:
-// cancelling it aborts the NP search promptly, returning an error wrapping
-// ctx.Err(). A nil context never cancels.
+// satisfying all constraints and conditionals. Presolve (package presolve)
+// runs first: many encoding-shaped systems are decided or drastically
+// shrunk before any simplex pivot. What survives goes to the GCD test and
+// then to branch-and-bound, whose root node is the LP relaxation of the
+// whole system. The context is checked once per node: cancelling it
+// aborts the NP search promptly, returning an error wrapping ctx.Err(). A
+// nil context never cancels.
 func Solve(ctx context.Context, sys *linear.System, opt *Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return &Result{}, err
@@ -181,51 +180,70 @@ func SolveMatrix(ctx context.Context, m *linear.Matrix, opt *Options) (*Result, 
 	if err := opt.validate(); err != nil {
 		return &Result{}, err
 	}
-	spec := &problemSpec{n: m.Cols()}
+	spec := newSpec(m.Cols(), nil, nil)
 	for r := range m.A {
-		coeffs := make(map[int]*big.Rat)
+		var terms []simplex.Term
 		for c, v := range m.A[r] {
 			if v.Sign() != 0 {
-				coeffs[c] = new(big.Rat).SetInt(v)
+				terms = append(terms, simplex.Term{Col: c, Coef: new(big.Rat).SetInt(v)})
 			}
 		}
-		spec.rows = append(spec.rows, rowSpec{
-			coeffs: coeffs,
-			rel:    simplex.Ge,
-			rhs:    new(big.Rat).SetInt(m.B[r]),
-		})
+		spec.rows = append(spec.rows, simplex.Row{Terms: terms, Rel: simplex.Ge, RHS: new(big.Rat).SetInt(m.B[r])})
 	}
 	// Matrix instances carry big.Int data the int64-based presolve cannot
 	// represent; they go straight to the search.
 	return branchAndBound(ctx, specForOptions(spec, opt), opt, nil, Stats{})
 }
 
-type rowSpec struct {
-	coeffs map[int]*big.Rat
-	rel    simplex.Rel
-	rhs    *big.Rat
-}
-
+// problemSpec is what a search solves. Its rows and objective are built
+// once per search and shared, read only, by every node's LP, which adds
+// its own bound rows.
 type problemSpec struct {
 	n            int
-	rows         []rowSpec
+	rows         []simplex.Row
+	obj          []simplex.Term // min Σx over the non-auxiliary variables
+	units        []simplex.Term // units[j] is the term 1·x_j of a bound row
 	implications []linear.Implication
-	auxiliary    func(i int) bool // excluded from the min-sum objective
-	exactLP      bool             // force the exact big.Rat simplex kernel
+	exactLP      bool // run every LP on big.Rat
+}
+
+// newSpec starts the spec of an n-variable search: the min-Σx objective,
+// which keeps witnesses small, over the variables auxiliary does not
+// mark (nil marks none).
+func newSpec(n int, implications []linear.Implication, auxiliary func(i int) bool) *problemSpec {
+	one := big.NewRat(1, 1)
+	spec := &problemSpec{n: n, units: make([]simplex.Term, n), implications: implications}
+	for j := range spec.units {
+		spec.units[j] = simplex.Term{Col: j, Coef: one}
+		if auxiliary == nil || !auxiliary(j) {
+			spec.obj = append(spec.obj, spec.units[j])
+		}
+	}
+	return spec
 }
 
 func specFromSystem(sys *linear.System) *problemSpec {
-	spec := &problemSpec{n: sys.VarCount(), implications: sys.Implications(), auxiliary: sys.Auxiliary}
-	for _, con := range sys.Constraints() {
-		coeffs := make(map[int]*big.Rat, len(con.Expr))
-		for i, v := range con.Expr {
+	spec := newSpec(sys.VarCount(), sys.Implications(), sys.Auxiliary)
+	cons := sys.Constraints()
+	nnz := 0
+	for _, con := range cons {
+		nnz += len(con.Expr)
+	}
+	// One slab holds every row's terms.
+	slab := make([]simplex.Term, 0, nnz)
+	spec.rows = make([]simplex.Row, len(cons))
+	for i, con := range cons {
+		start := len(slab)
+		for j, v := range con.Expr {
 			if v == 0 {
 				// A zero entry carries no constraint but would densify the
 				// simplex tableau row; skip it, as SolveMatrix does.
 				continue
 			}
-			coeffs[i] = new(big.Rat).SetInt64(v)
+			slab = append(slab, simplex.Term{Col: j, Coef: new(big.Rat).SetInt64(v)})
 		}
+		terms := slab[start:len(slab):len(slab)]
+		slices.SortFunc(terms, func(a, b simplex.Term) int { return a.Col - b.Col })
 		var rel simplex.Rel
 		switch con.Op {
 		case linear.Eq:
@@ -235,7 +253,7 @@ func specFromSystem(sys *linear.System) *problemSpec {
 		case linear.Ge:
 			rel = simplex.Ge
 		}
-		spec.rows = append(spec.rows, rowSpec{coeffs: coeffs, rel: rel, rhs: new(big.Rat).SetInt64(con.Const)})
+		spec.rows[i] = simplex.Row{Terms: terms, Rel: rel, RHS: new(big.Rat).SetInt64(con.Const)}
 	}
 	return spec
 }
@@ -331,10 +349,20 @@ func mergeFixed(values, fixed []*big.Int) {
 var solveLP = realSolveLP
 
 func realSolveLP(ctx context.Context, spec *problemSpec, nd *node, stop func() bool) *simplex.Solution {
-	p := simplex.New(spec.n)
-	if spec.exactLP {
-		p.SetExact(true)
+	// The full slice expression makes the first bound row copy the shared
+	// rows instead of writing past them into another node's.
+	rows := spec.rows[:len(spec.rows):len(spec.rows)]
+	for j := 0; j < spec.n; j++ {
+		unit := spec.units[j : j+1 : j+1]
+		if nd.lo[j] != nil && nd.lo[j].Sign() > 0 {
+			rows = append(rows, simplex.Row{Terms: unit, Rel: simplex.Ge, RHS: new(big.Rat).SetInt(nd.lo[j])})
+		}
+		if nd.hi[j] != nil {
+			rows = append(rows, simplex.Row{Terms: unit, Rel: simplex.Le, RHS: new(big.Rat).SetInt(nd.hi[j])})
+		}
 	}
+	p := simplex.New(spec.n, rows, spec.obj)
+	p.SetExact(spec.exactLP)
 	if cancellable := ctx.Done() != nil; cancellable || stop != nil {
 		// Exact-rational pivots on big tableaus are slow; poll the context
 		// (and the parallel stop flag) once per pivot so deadlines and
@@ -346,25 +374,6 @@ func realSolveLP(ctx context.Context, spec *problemSpec, nd *node, stop func() b
 			return cancellable && ctx.Err() != nil
 		})
 	}
-	for _, r := range spec.rows {
-		p.AddRow(r.coeffs, r.rel, r.rhs)
-	}
-	for j := 0; j < spec.n; j++ {
-		if nd.lo[j] != nil && nd.lo[j].Sign() > 0 {
-			p.AddRow(map[int]*big.Rat{j: ratOne()}, simplex.Ge, new(big.Rat).SetInt(nd.lo[j]))
-		}
-		if nd.hi[j] != nil {
-			p.AddRow(map[int]*big.Rat{j: ratOne()}, simplex.Le, new(big.Rat).SetInt(nd.hi[j]))
-		}
-	}
-	obj := make(map[int]*big.Rat, spec.n)
-	for j := 0; j < spec.n; j++ {
-		if spec.auxiliary != nil && spec.auxiliary(j) {
-			continue
-		}
-		obj[j] = ratOne()
-	}
-	p.SetObjective(obj)
 	return p.Solve()
 }
 
@@ -391,12 +400,13 @@ func violatedImplication(spec *problemSpec, values []*big.Int) (linear.Implicati
 // constant, no integer point exists regardless of bounds.
 func infeasibleByGCD(spec *problemSpec) bool {
 	for _, r := range spec.rows {
-		if r.rel != simplex.Eq || !r.rhs.IsInt() {
+		if r.Rel != simplex.Eq || !r.RHS.IsInt() {
 			continue
 		}
 		g := new(big.Int)
 		allInt := true
-		for _, v := range r.coeffs {
+		for _, t := range r.Terms {
+			v := t.Coef
 			if !v.IsInt() {
 				allInt = false
 				break
@@ -406,7 +416,7 @@ func infeasibleByGCD(spec *problemSpec) bool {
 		if !allInt || g.Sign() == 0 {
 			continue
 		}
-		rem := new(big.Int).Mod(new(big.Int).Abs(r.rhs.Num()), g)
+		rem := new(big.Int).Mod(new(big.Int).Abs(r.RHS.Num()), g)
 		if rem.Sign() != 0 {
 			return true
 		}
@@ -423,5 +433,3 @@ func ratFloor(v *big.Rat) *big.Int {
 	}
 	return out
 }
-
-func ratOne() *big.Rat { return new(big.Rat).SetInt64(1) }

@@ -366,12 +366,12 @@ func TestSpecFromSystemSkipsZeroCoefficients(t *testing.T) {
 	if len(spec.rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(spec.rows))
 	}
-	coeffs := spec.rows[0].coeffs
-	if len(coeffs) != 1 {
-		t.Fatalf("row has %d coefficients, want 1 (zeros must be skipped): %v", len(coeffs), coeffs)
+	terms := spec.rows[0].Terms
+	if len(terms) != 1 {
+		t.Fatalf("row has %d coefficients, want 1 (zeros must be skipped): %v", len(terms), terms)
 	}
-	if _, ok := coeffs[x]; !ok {
-		t.Errorf("nonzero coefficient for x missing: %v", coeffs)
+	if terms[0].Col != x {
+		t.Errorf("nonzero coefficient for x missing: %v", terms)
 	}
 }
 

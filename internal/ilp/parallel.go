@@ -246,7 +246,6 @@ func (ps *psearch) finish(w int, children ...*node) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.pending += len(children) - 1
-	//xic:ignore ratalias ownership transfer: branchChildren/implicationChildren allocate fresh bound slices per child and the caller never touches them again
 	ps.deques[w] = append(ps.deques[w], children...) //xic:ignore hotalloc amortized deque growth: appends reuse capacity across the whole search
 	// Wake stealers when work appeared, and idle workers when pending hit
 	// zero so one of them can run the exhaustion close.
@@ -284,7 +283,6 @@ func (ps *psearch) closeLocked(found []*big.Int, err error) {
 		return
 	}
 	ps.closed = true
-	//xic:ignore ratalias ownership transfer: the winning verdict's witness is freshly built by integralValues and no worker retains a reference
 	ps.found = found
 	ps.err = err
 	ps.stop.Store(true)

@@ -16,7 +16,7 @@ func benchProblem(rng *rand.Rand, n, rows int, density float64) *Problem {
 	for i := range point {
 		point[i] = int64(rng.Intn(5))
 	}
-	p := New(n)
+	var out []Row
 	for r := 0; r < rows; r++ {
 		coeffs := make(map[int]int64)
 		var lhs int64
@@ -32,35 +32,40 @@ func benchProblem(rng *rand.Rand, n, rows int, density float64) *Problem {
 		}
 		switch rng.Intn(3) {
 		case 0:
-			p.AddRowInt(coeffs, Eq, lhs)
+			out = append(out, intRow(coeffs, Eq, lhs))
 		case 1:
-			p.AddRowInt(coeffs, Le, lhs+1)
+			out = append(out, intRow(coeffs, Le, lhs+1))
 		default:
-			p.AddRowInt(coeffs, Ge, lhs-1)
+			out = append(out, intRow(coeffs, Ge, lhs-1))
 		}
 	}
-	obj := make(map[int]*big.Rat, n)
-	for i := 0; i < n; i++ {
-		obj[i] = big.NewRat(1, 1)
+	obj := make([]Term, n)
+	for i := range obj {
+		obj[i] = Term{i, big.NewRat(1, 1)}
 	}
-	p.SetObjective(obj)
-	return p
+	return New(n, out, obj)
 }
 
 // BenchmarkSolve times whole solves. The dense sizes are small LPs with
-// every coefficient drawn; the sparse one has the size and density of the
-// LPs the decide path solves: 160 rows, about 400 tableau columns, 1%
-// nonzero.
+// every coefficient drawn; 20v-20r and 30v-25r overflow rat64 and finish
+// on big.Rat. The sparse one has the size and density of the LPs the
+// decide path solves: 160 rows, about 400 tableau columns, 1% nonzero; its
+// -exact case runs it on big.Rat alone.
 func BenchmarkSolve(b *testing.B) {
 	for _, size := range []struct {
 		n, rows int
 		density float64
-	}{{10, 10, 1}, {20, 20, 1}, {30, 25, 1}, {200, 160, 0.015}} {
+		exact   bool
+	}{{10, 10, 1, false}, {20, 20, 1, false}, {30, 25, 1, false}, {200, 160, 0.015, false}, {200, 160, 0.015, true}} {
 		rng := rand.New(rand.NewSource(3))
 		p := benchProblem(rng, size.n, size.rows, size.density)
+		p.SetExact(size.exact)
 		name := fmt.Sprintf("%dv-%dr", size.n, size.rows)
 		if size.density < 1 {
 			name += fmt.Sprintf("-%.1f%%", 100*size.density)
+		}
+		if size.exact {
+			name += "-exact"
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -75,9 +80,10 @@ func BenchmarkSolve(b *testing.B) {
 }
 
 func BenchmarkSolveInfeasible(b *testing.B) {
-	p := New(3)
-	p.AddRowInt(map[int]int64{0: 1, 1: 1, 2: 1}, Eq, 5)
-	p.AddRowInt(map[int]int64{0: 1, 1: 1, 2: 1}, Eq, 6)
+	p := New(3, []Row{
+		intRow(map[int]int64{0: 1, 1: 1, 2: 1}, Eq, 5),
+		intRow(map[int]int64{0: 1, 1: 1, 2: 1}, Eq, 6),
+	}, nil)
 	for i := 0; i < b.N; i++ {
 		if sol := p.Solve(); sol.Status != Infeasible {
 			b.Fatalf("status %v", sol.Status)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestPivotKernelIsAllocationFree pins the //xic:hotpath contract that
-// xicvet's hotalloc analyzer enforces statically: once a fast tableau is
+// xicvet's hotalloc analyzer enforces statically: once a rat64 tableau is
 // built and its buffers have grown to the solve's fill-in, the steady-state
 // pivot kernel (phase-1 objective setup, pivoting to optimality and driving
 // out artificials) performs zero heap allocations. The tableau state is
@@ -15,15 +15,15 @@ import (
 // measured closure itself stays allocation-free.
 func TestPivotKernelIsAllocationFree(t *testing.T) {
 	p := encodingProblem(rand.New(rand.NewSource(5)), 40)
-	ft, ok := p.buildFastTableau()
-	if !ok {
-		t.Fatal("buildFastTableau failed on small integer data")
+	ft := newTableau[rat64](p, new(fastArith))
+	if ft.ar.overflow {
+		t.Fatal("the rat64 build overflowed on small integer data")
 	}
 
 	// Snapshot the mutable tableau state once, outside the measurement.
-	rowsSnap := make([][]entry, ft.m)
+	rowsSnap := make([][]entry[rat64], ft.m)
 	for i, row := range ft.rows {
-		rowsSnap[i] = append([]entry(nil), row...)
+		rowsSnap[i] = append([]entry[rat64](nil), row...)
 	}
 	rhsSnap := append([]rat64(nil), ft.rhs...)
 	basisSnap := append([]int(nil), ft.basis...)
@@ -45,23 +45,19 @@ func TestPivotKernelIsAllocationFree(t *testing.T) {
 	}
 
 	var outcome pivotOutcome
-	kernelOK := true
 	var pivots int
 	allocs := testing.AllocsPerRun(100, func() {
 		restore()
-		if !ft.setPhase1Objective() {
-			kernelOK = false
-			return
-		}
-		outcome, kernelOK = ft.pivotToOptimality(ft.ncols)
-		if kernelOK && outcome == pivotOptimal {
-			kernelOK = ft.driveOutArtificials()
+		ft.setPhase1Objective()
+		outcome = ft.pivotToOptimality(ft.ncols)
+		if outcome == pivotOptimal {
+			ft.driveOutArtificials()
 		}
 		pivots = ft.pivots
 	})
 
-	if !kernelOK {
-		t.Fatal("fast kernel overflowed on small integer data")
+	if ft.ar.overflow {
+		t.Fatal("rat64 overflowed on small integer data")
 	}
 	if outcome != pivotOptimal {
 		t.Fatalf("phase-1 outcome = %v, want optimal", outcome)
@@ -83,16 +79,13 @@ func TestPivotKernelIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestFastSolveMemoryFollowsNonzeros pins that the fast kernel's memory
-// follows the system's nonzeros: one solve of an encoding-shaped LP (about
-// 1% dense) allocates under a quarter of the 16·m·ncols bytes a dense
-// int64 tableau of the same shape would hold.
+// TestFastSolveMemoryFollowsNonzeros pins that the kernel's memory
+// follows the system's nonzeros: one rat64 solve of an encoding-shaped LP
+// (about 1% dense) allocates under a quarter of the 16·m·ncols bytes a
+// dense int64 tableau of the same shape would hold.
 func TestFastSolveMemoryFollowsNonzeros(t *testing.T) {
 	p := encodingProblem(rand.New(rand.NewSource(2)), 160)
-	ft, ok := p.buildFastTableau()
-	if !ok {
-		t.Fatal("buildFastTableau failed on small integer data")
-	}
+	ft := newTableau[rat64](p, new(fastArith))
 	m, ncols := ft.m, ft.ncols
 	if m < 150 || ncols < 300 {
 		t.Fatalf("problem is %d×%d, want at least 150×300", m, ncols)
@@ -103,9 +96,9 @@ func TestFastSolveMemoryFollowsNonzeros(t *testing.T) {
 	var sol *Solution
 	for r := 0; r < runs; r++ {
 		var completed bool
-		sol, _, completed = p.solveFast()
+		sol, completed = solveWith[rat64](p, new(fastArith))
 		if !completed {
-			t.Fatal("fast kernel fell back on small integer data")
+			t.Fatal("rat64 fell back on small integer data")
 		}
 	}
 	runtime.ReadMemStats(&after)

@@ -9,43 +9,42 @@ import (
 )
 
 func TestRat64Arithmetic(t *testing.T) {
-	a, ok := makeRat(6, -4)
-	if !ok || a.n != -3 || a.d != 2 {
-		t.Fatalf("makeRat(6,-4) = %v %v, want -3/2", a, ok)
+	var f fastArith
+	if a := f.makeRat(6, -4); f.overflow || a.n != -3 || a.d != 2 {
+		t.Fatalf("makeRat(6,-4) = %v (overflow %v), want -3/2", a, f.overflow)
 	}
-	if _, ok := makeRat(1, 0); ok {
-		t.Error("makeRat(1,0) accepted a zero denominator")
+	for name, op := range map[string]func(f *fastArith) rat64{
+		"makeRat(1,0)":           func(f *fastArith) rat64 { return f.makeRat(1, 0) },
+		"makeRat(MinInt64,1)":    func(f *fastArith) rat64 { return f.makeRat(math.MinInt64, 1) },
+		"makeRat above the cap":  func(f *fastArith) rat64 { return f.makeRat(maxFastMag+1, 1) },
+		"mul beyond the cap":     func(f *fastArith) rat64 { return f.mul(rat64{maxFastMag, 1}, rat64{maxFastMag, 1}) },
+		"mul64(MinInt64,-1)":     func(f *fastArith) rat64 { return rat64{f.mul64(math.MinInt64, -1), 1} },
+		"inv(0)":                 func(f *fastArith) rat64 { return f.inv(rat64{0, 1}) },
+		"fromRat(2^80)":          func(f *fastArith) rat64 { return f.fromRat(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 80))) },
+		"cmp of crossed extrema": func(f *fastArith) rat64 { return rat64{int64(f.cmp(rat64{maxFastMag, 3}, rat64{1, maxFastMag})), 1} },
+	} {
+		var f fastArith
+		if v := op(&f); !f.overflow {
+			t.Errorf("%s = %v without setting the overflow flag", name, v)
+		} else if v.d == 0 {
+			t.Errorf("%s returned %v, not a valid rat64", name, v)
+		}
 	}
-	if _, ok := makeRat(math.MinInt64, 1); ok {
-		t.Error("makeRat(MinInt64,1) accepted an unnegatable numerator")
+	f = fastArith{}
+	if sum := f.add(rat64{1, 3}, rat64{1, 6}); sum.n != 1 || sum.d != 2 {
+		t.Errorf("1/3 + 1/6 = %v, want 1/2", sum)
 	}
-	if _, ok := makeRat(maxFastMag+1, 1); ok {
-		t.Error("makeRat above the magnitude cap accepted")
+	if prod := f.mul(rat64{2, 3}, rat64{3, 4}); prod.n != 1 || prod.d != 2 {
+		t.Errorf("2/3 * 3/4 = %v, want 1/2", prod)
 	}
-	sum, ok := addRat(rat64{1, 3}, rat64{1, 6})
-	if !ok || sum.n != 1 || sum.d != 2 {
-		t.Errorf("1/3 + 1/6 = %v %v, want 1/2", sum, ok)
+	if c := f.cmp(rat64{1, 3}, rat64{1, 2}); c != -1 {
+		t.Errorf("cmp(1/3,1/2) = %d, want -1", c)
 	}
-	prod, ok := mulRat(rat64{2, 3}, rat64{3, 4})
-	if !ok || prod.n != 1 || prod.d != 2 {
-		t.Errorf("2/3 * 3/4 = %v %v, want 1/2", prod, ok)
+	if inv := f.inv(rat64{-2, 5}); inv.n != -5 || inv.d != 2 {
+		t.Errorf("inv(-2/5) = %v, want -5/2", inv)
 	}
-	if _, ok := mulRat(rat64{maxFastMag, 1}, rat64{maxFastMag, 1}); ok {
-		t.Error("mulRat beyond the cap accepted")
-	}
-	if _, ok := mul64(math.MinInt64, -1); ok {
-		t.Error("mul64(MinInt64,-1) reported ok despite wrapping")
-	}
-	cmp, ok := cmpRat(rat64{1, 3}, rat64{1, 2})
-	if !ok || cmp != -1 {
-		t.Errorf("cmp(1/3,1/2) = %d %v, want -1", cmp, ok)
-	}
-	inv, ok := invRat(rat64{-2, 5})
-	if !ok || inv.n != -5 || inv.d != 2 {
-		t.Errorf("inv(-2/5) = %v %v, want -5/2", inv, ok)
-	}
-	if _, ok := invRat(rat64{0, 1}); ok {
-		t.Error("invRat(0) reported ok")
+	if f.overflow {
+		t.Error("in-range operations set the overflow flag")
 	}
 }
 
@@ -54,9 +53,8 @@ func TestRat64Arithmetic(t *testing.T) {
 // rather than a fallback test.
 func randomProblem(rng *rand.Rand) *Problem {
 	n := 1 + rng.Intn(4)
-	p := New(n)
-	rows := 1 + rng.Intn(5)
-	for i := 0; i < rows; i++ {
+	var rows []Row
+	for i := 1 + rng.Intn(5); i > 0; i-- {
 		coeffs := make(map[int]int64)
 		for j := 0; j < n; j++ {
 			if rng.Intn(2) == 0 {
@@ -64,16 +62,15 @@ func randomProblem(rng *rand.Rand) *Problem {
 			}
 		}
 		rel := Rel(rng.Intn(3))
-		p.AddRowInt(coeffs, rel, int64(rng.Intn(9)-4))
+		rows = append(rows, intRow(coeffs, rel, int64(rng.Intn(9)-4)))
 	}
+	var obj []Term
 	if rng.Intn(2) == 0 {
-		obj := make(map[int]*big.Rat, n)
 		for j := 0; j < n; j++ {
-			obj[j] = big.NewRat(int64(1+rng.Intn(3)), 1)
+			obj = append(obj, Term{j, big.NewRat(int64(1+rng.Intn(3)), 1)})
 		}
-		p.SetObjective(obj)
 	}
-	return p
+	return New(n, rows, obj)
 }
 
 // encodingProblem draws an LP shaped like the cardinality encodings
@@ -98,7 +95,7 @@ func encodingProblem(rng *rand.Rand, rows int) *Problem {
 	if rng.Intn(4) == 0 {
 		perturb = rng.Intn(rows)
 	}
-	p := New(nvars)
+	var out []Row
 	for r := 0; r < rows; r++ {
 		k := 1 + rng.Intn(5)
 		coeffs := make(map[int]int64, k)
@@ -127,75 +124,89 @@ func encodingProblem(rng *rand.Rand, rows int) *Problem {
 		}
 		switch d := rng.Intn(20); {
 		case d < 9:
-			p.AddRowInt(coeffs, Eq, lhs)
+			out = append(out, intRow(coeffs, Eq, lhs))
 		case d < 17:
-			p.AddRowInt(coeffs, Ge, lhs-int64(rng.Intn(3)))
+			out = append(out, intRow(coeffs, Ge, lhs-int64(rng.Intn(3))))
 		default:
-			p.AddRowInt(coeffs, Le, lhs+int64(rng.Intn(3)))
+			out = append(out, intRow(coeffs, Le, lhs+int64(rng.Intn(3))))
 		}
 	}
+	obj := make(map[int]*big.Rat)
 	switch rng.Intn(3) {
 	case 1: // nonnegative costs: bounded below
-		obj := make(map[int]*big.Rat)
 		for j := 0; j < nvars; j++ {
 			if rng.Intn(3) == 0 {
 				obj[j] = big.NewRat(int64(1+rng.Intn(3)), 1)
 			}
 		}
-		p.SetObjective(obj)
 	case 2: // mixed signs: unbounded outcomes too
-		obj := make(map[int]*big.Rat)
 		for j := 0; j < nvars; j++ {
 			if rng.Intn(3) == 0 {
 				obj[j] = big.NewRat(int64(rng.Intn(7)-3), 1)
 			}
 		}
-		p.SetObjective(obj)
 	}
-	return p
+	return New(nvars, out, terms(obj))
 }
 
-// checkFastMatchesExact solves p on both kernels and fails t unless they
-// agree. When the fast kernel completes it must report the identical
-// status, pivot count, objective and vertex as the exact kernel — the fast
-// path is the same algorithm in a different number representation, not an
-// approximation. When it falls back, Solve must return the exact kernel's
-// answer with the wasted fast pivots charged on top. It reports whether
-// the fast kernel completed.
+// checkFastMatchesExact solves p three ways and fails t unless they agree:
+// on rat64, on big.Rat and on the dense oracle. The big.Rat instance must
+// report the oracle's status, pivot count, objective and vertex. So must
+// rat64 when it completes: it is the same algorithm in another number
+// representation, not an approximation. When rat64 hands over, Solve must
+// return the big.Rat answer with the wasted rat64 pivots charged on top.
+// It reports whether rat64 completed.
 func checkFastMatchesExact(t *testing.T, name string, p *Problem) bool {
 	t.Helper()
-	want := p.solveExact()
-	got, fastPivots, ok := p.solveFast()
-	if !ok {
-		got = p.Solve()
-		if !got.ExactFallback || got.FastPivots != fastPivots || got.Pivots != want.Pivots+fastPivots {
-			t.Fatalf("%s: fallback solve reports ExactFallback=%v FastPivots=%d Pivots=%d, want true, %d, %d",
-				name, got.ExactFallback, got.FastPivots, got.Pivots, fastPivots, want.Pivots+fastPivots)
+	want := denseSolve(p)
+	exact, _ := solveWith[*big.Rat](p, bigArith{})
+	sameSolution(t, name+" (big.Rat)", exact, want)
+	fast, ok := solveWith[rat64](p, new(fastArith))
+	got := p.Solve()
+	if ok {
+		sameSolution(t, name+" (rat64)", fast, want)
+		if got.ExactFallback || got.FastPivots != want.Pivots || got.Pivots != want.Pivots {
+			t.Fatalf("%s: Solve reports ExactFallback=%v FastPivots=%d Pivots=%d, want false, %d, %d",
+				name, got.ExactFallback, got.FastPivots, got.Pivots, want.Pivots, want.Pivots)
 		}
-	} else if fastPivots != want.Pivots {
-		t.Fatalf("%s: fast pivots %d, exact %d (kernels must pivot identically)",
-			name, fastPivots, want.Pivots)
+		return true
 	}
+	if !got.ExactFallback || got.FastPivots != fast.Pivots || got.Pivots != want.Pivots+fast.Pivots {
+		t.Fatalf("%s: fallback solve reports ExactFallback=%v FastPivots=%d Pivots=%d, want true, %d, %d",
+			name, got.ExactFallback, got.FastPivots, got.Pivots, fast.Pivots, want.Pivots+fast.Pivots)
+	}
+	rerun := *got
+	rerun.Pivots -= got.FastPivots
+	sameSolution(t, name+" (Solve)", &rerun, want)
+	return false
+}
+
+// sameSolution fails t unless got reports want's status, pivot count,
+// objective and vertex.
+func sameSolution(t *testing.T, name string, got, want *Solution) {
+	t.Helper()
 	if got.Status != want.Status {
-		t.Fatalf("%s: fast status %v, exact %v", name, got.Status, want.Status)
+		t.Fatalf("%s: status %v, oracle %v", name, got.Status, want.Status)
+	}
+	if got.Pivots != want.Pivots {
+		t.Fatalf("%s: %d pivots, oracle %d (the kernels must pivot identically)", name, got.Pivots, want.Pivots)
 	}
 	if got.Status != Optimal {
-		return ok
+		return
 	}
 	if got.Obj.Cmp(want.Obj) != 0 {
-		t.Fatalf("%s: fast obj %s, exact %s", name, got.Obj, want.Obj)
+		t.Fatalf("%s: obj %s, oracle %s", name, got.Obj, want.Obj)
 	}
 	for j := range got.X {
 		if got.X[j].Cmp(want.X[j]) != 0 {
-			t.Fatalf("%s: x[%d] fast %s, exact %s", name, j, got.X[j], want.X[j])
+			t.Fatalf("%s: x[%d] = %s, oracle %s", name, j, got.X[j], want.X[j])
 		}
 	}
-	return ok
 }
 
-// TestFastMatchesExact cross-validates the two kernels on two families:
-// tiny dense problems, and encoding-shaped sparse ones where a sparse
-// kernel and a dense one could actually differ.
+// TestFastMatchesExact cross-validates the kernel's two instances and the
+// dense oracle on two families: tiny dense problems, and encoding-shaped
+// sparse ones where a sparse kernel and a dense one could actually differ.
 func TestFastMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	completed := 0
@@ -223,7 +234,7 @@ func TestFastMatchesExact(t *testing.T) {
 
 // FuzzFastMatchesExact is the kernel-agreement fuzzer the CI smoke job
 // runs: encoding-shaped LPs of 10–200 rows must get the same answer from
-// the sparse int64 kernel and the dense exact one.
+// the kernel's rat64 and big.Rat instances and the dense oracle.
 func FuzzFastMatchesExact(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(7), uint8(60))
@@ -234,12 +245,11 @@ func FuzzFastMatchesExact(f *testing.F) {
 	})
 }
 
-// TestFallbackOnBigData feeds coefficients outside int64 so the fast build
-// fails and Solve reruns on the exact kernel, reporting the fallback.
+// TestFallbackOnBigData feeds coefficients outside int64 so the rat64
+// build overflows and Solve reruns on big.Rat, reporting the fallback.
 func TestFallbackOnBigData(t *testing.T) {
 	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 80))
-	p := New(1)
-	p.AddRow(map[int]*big.Rat{0: big.NewRat(1, 1)}, Ge, huge)
+	p := New(1, []Row{{Terms: []Term{{0, big.NewRat(1, 1)}}, Rel: Ge, RHS: huge}}, nil)
 	sol := p.Solve()
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
@@ -256,19 +266,19 @@ func TestFallbackOnBigData(t *testing.T) {
 }
 
 // TestFallbackOnMagnitudeCap exercises a mid-pivot fallback: in-range
-// input whose tableau entries blow past maxFastMag only after the fast
-// kernel has pivoted. Phase 1 is empty (≤ rows start feasible), and each
+// input whose tableau entries blow past maxFastMag only after rat64 has
+// pivoted. Phase 1 is empty (≤ rows start feasible), and each
 // phase-2 pivot multiplies coefficients near 2^24 into denominators
 // near 2^48.
 func TestFallbackOnMagnitudeCap(t *testing.T) {
 	const c = 1 << 24
-	p := New(2)
-	p.AddRowInt(map[int]int64{0: c + 203, 1: c - 75}, Le, c+3643)
-	p.AddRowInt(map[int]int64{0: c + 500, 1: c - 772}, Le, c+3452)
-	p.AddRowInt(map[int]int64{0: c + 548, 1: c - 287}, Le, c+3891)
-	p.SetObjective(map[int]*big.Rat{0: big.NewRat(-2, 1), 1: big.NewRat(-2, 1)})
+	p := New(2, []Row{
+		intRow(map[int]int64{0: c + 203, 1: c - 75}, Le, c+3643),
+		intRow(map[int]int64{0: c + 500, 1: c - 772}, Le, c+3452),
+		intRow(map[int]int64{0: c + 548, 1: c - 287}, Le, c+3891),
+	}, []Term{{0, big.NewRat(-2, 1)}, {1, big.NewRat(-2, 1)}})
 	sol := p.Solve()
-	want := p.solveExact()
+	want := denseSolve(p)
 	if !sol.ExactFallback {
 		t.Fatal("ExactFallback not reported; the input no longer reaches the magnitude cap")
 	}
@@ -288,11 +298,11 @@ func TestFallbackOnMagnitudeCap(t *testing.T) {
 	}
 }
 
-// TestSetExact pins the ablation switch: with SetExact(true) the fast
-// kernel never runs, so FastPivots stays zero and no fallback is reported.
+// TestSetExact pins the ablation switch: with SetExact(true) rat64 never
+// runs, so FastPivots stays zero and no fallback is reported.
 func TestSetExact(t *testing.T) {
-	p := New(2)
-	p.AddRowInt(map[int]int64{0: 1, 1: 2}, Ge, 3)
+	rows := []Row{intRow(map[int]int64{0: 1, 1: 2}, Ge, 3)}
+	p := New(2, rows, nil)
 	p.SetExact(true)
 	sol := p.Solve()
 	if sol.Status != Optimal {
@@ -302,9 +312,7 @@ func TestSetExact(t *testing.T) {
 		t.Errorf("exact-only solve reported FastPivots=%d ExactFallback=%v", sol.FastPivots, sol.ExactFallback)
 	}
 
-	q := New(2)
-	q.AddRowInt(map[int]int64{0: 1, 1: 2}, Ge, 3)
-	fastSol := q.Solve()
+	fastSol := New(2, rows, nil).Solve()
 	if fastSol.Status != Optimal {
 		t.Fatalf("fast status = %v", fastSol.Status)
 	}
@@ -319,11 +327,10 @@ func TestSetExact(t *testing.T) {
 	}
 }
 
-// TestFastInterrupt pins that the interrupt hook reaches the fast kernel:
-// an immediately-firing hook interrupts without falling back to exact.
+// TestFastInterrupt pins that the interrupt hook reaches rat64: an
+// immediately-firing hook interrupts without falling back to big.Rat.
 func TestFastInterrupt(t *testing.T) {
-	p := New(2)
-	p.AddRowInt(map[int]int64{0: 1, 1: 1}, Ge, 2)
+	p := New(2, []Row{intRow(map[int]int64{0: 1, 1: 1}, Ge, 2)}, nil)
 	p.SetInterrupt(func() bool { return true })
 	sol := p.Solve()
 	if sol.Status != Interrupted {

@@ -33,9 +33,9 @@ type SolveOptions struct {
 	// cross-validation only.
 	DisablePresolve bool
 
-	// DisableFastTableau forces every LP onto the exact big.Rat simplex
-	// kernel, skipping the overflow-checked int64 fast tableau. For
-	// ablation benchmarks and cross-validation only.
+	// DisableFastTableau runs every LP on big.Rat, skipping the simplex
+	// kernel's overflow-checked int64 instance. For ablation benchmarks
+	// and cross-validation only.
 	DisableFastTableau bool
 
 	// SkipWitness returns bare verdicts without constructing witness or
@@ -69,8 +69,7 @@ func WithoutPresolve() SolveOption {
 	return func(o *SolveOptions) { o.DisablePresolve = true }
 }
 
-// WithoutFastTableau forces the exact big.Rat kernel for every LP
-// (ablation only).
+// WithoutFastTableau runs every LP on big.Rat (ablation only).
 func WithoutFastTableau() SolveOption {
 	return func(o *SolveOptions) { o.DisableFastTableau = true }
 }

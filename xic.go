@@ -149,8 +149,7 @@ type (
 	// SolveStats is a snapshot of a Spec's cumulative ILP-oracle counters:
 	// presolve decisions, fast-path hits, how much the presolve layer
 	// shrank the systems that reached branch-and-bound, how the simplex
-	// pivots split between the int64 fast tableau and the exact big.Rat
-	// kernel, and work stealing among branch-and-bound workers.
+	// pivots split between int64 and big.Rat arithmetic, and work stealing among branch-and-bound workers.
 	SolveStats = core.SolveStats
 
 	// Report is the outcome of one streaming validation pass
