@@ -16,12 +16,10 @@
 package doccheck
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -210,10 +208,30 @@ func (c *Checker) RunTree(ctx context.Context, t *xmltree.Tree) (violated int, e
 // declared element types, exact attribute sets, content models — as
 // sessions check an inserted subtree: not the root's type, no constraint.
 func (c *Checker) RunFragment(n *xmltree.Node) *Report {
-	rn := c.newRun(nil)
-	rn.local = true
-	rn.walk(n) // without a context the walk cannot fail
-	return rn.report
+	return c.NewFragment().Check(n)
+}
+
+// Fragment is RunFragment with its pass's buffers kept from one check to
+// the next: a document session, whose edits its mutex serializes, checks
+// every inserted subtree through one. It is not safe for concurrent use.
+type Fragment struct {
+	rn     run
+	report Report
+}
+
+// NewFragment returns a reusable fragment check over the checker.
+func (c *Checker) NewFragment() *Fragment {
+	f := &Fragment{}
+	f.rn = run{c: c, local: true, report: &f.report}
+	return f
+}
+
+// Check is RunFragment. The report is f's own, valid until the next
+// Check.
+func (f *Fragment) Check(n *xmltree.Node) *Report {
+	f.report = Report{Violations: f.report.Violations[:0]}
+	f.rn.walk(n) // without a context the walk cannot fail; it closes every element it opens
+	return &f.report
 }
 
 // newRun starts a pass over the document rd reads, or over a tree when
@@ -310,7 +328,8 @@ type run struct {
 	collectors []collector // indexed by elemType.cols
 	finishers  []finisher
 
-	attrs []xmlscan.Attr // a tree node's attributes (treeAttrs)
+	attrs   []xmlscan.Attr // a tree node's attributes (treeAttrs)
+	cursors []cursor       // a tree pass's open elements (walk)
 
 	ctx  context.Context // nil for a fragment, which no context bounds
 	done <-chan struct{} // ctx.Done(); nil when nothing can cancel the pass
@@ -346,11 +365,7 @@ func (rn *run) loop() error {
 // walk drives the tree rooted at root through the handlers in document
 // order, keeping the open elements' child cursors on an explicit stack.
 func (rn *run) walk(root *xmltree.Node) error {
-	type cursor struct {
-		n    *xmltree.Node
-		next int
-	}
-	var stack []cursor
+	stack := rn.cursors[:0]
 	for n, nodes := root, 0; n != nil; nodes++ {
 		if nodes%1024 == 0 && rn.done != nil {
 			if err := rn.canceled(); err != nil {
@@ -375,11 +390,20 @@ func (rn *run) walk(root *xmltree.Node) error {
 				continue
 			}
 			rn.close()
+			stack[len(stack)-1] = cursor{} // a reused stack must not pin the tree
 			stack = stack[:len(stack)-1]
 		}
 	}
+	rn.cursors = stack
 	rn.finish()
 	return nil
+}
+
+// cursor is an open element of a tree pass with the index of its next
+// child.
+type cursor struct {
+	n    *xmltree.Node
+	next int
 }
 
 // canceled returns the error that aborts a pass whose context has ended.
@@ -422,7 +446,7 @@ func (rn *run) start() {
 func (rn *run) element(n *xmltree.Node) {
 	if sym, ok := rn.c.syms[n.Label]; ok {
 		t := &rn.c.types[sym]
-		rn.open(sym, t, n.Label, rn.treeAttrs(n, t.decl))
+		rn.open(sym, t, n.Label, rn.treeAttrs(n))
 		return
 	}
 	rn.open(-1, nil, n.Label, nil)
@@ -495,7 +519,7 @@ func (rn *run) text() {
 
 // textNode is text for a tree's text node: one #PCDATA step of its own.
 func (rn *run) textNode(n *xmltree.Node) {
-	if len(n.Children) > 0 || len(n.Attrs) > 0 {
+	if len(n.Children) > 0 || len(n.Attrs()) > 0 {
 		rn.violate(nil, rn.path(rn.depth), "text node under %s has children or attributes", rn.path(rn.depth))
 	}
 	rn.stepText(&rn.frames[rn.depth-1])
@@ -511,24 +535,13 @@ func (rn *run) stepText(f *frame) {
 	}
 }
 
-// treeAttrs presents a tree node's attributes as a start tag's: declared
-// ones in declaration order, then others by name, not in map order. The
-// byte slices alias the node's strings; like a start tag's, they are only
-// read.
-func (rn *run) treeAttrs(n *xmltree.Node, decl *dtd.Element) []xmlscan.Attr {
+// treeAttrs presents a tree node's attributes as a start tag's, in the
+// node's order: sorted by name. The byte slices alias the node's strings;
+// like a start tag's, they are only read.
+func (rn *run) treeAttrs(n *xmltree.Node) []xmlscan.Attr {
 	attrs := rn.attrs[:0]
-	for _, name := range decl.Attrs {
-		if value, ok := n.Attrs[name]; ok {
-			attrs = append(attrs, attrOf(name, value))
-		}
-	}
-	if declared := len(attrs); declared < len(n.Attrs) {
-		for name, value := range n.Attrs {
-			if !decl.HasAttr(name) {
-				attrs = append(attrs, attrOf(name, value))
-			}
-		}
-		slices.SortFunc(attrs[declared:], func(x, y xmlscan.Attr) int { return bytes.Compare(x.Local, y.Local) })
+	for _, a := range n.Attrs() {
+		attrs = append(attrs, attrOf(a.Name, a.Value))
 	}
 	rn.attrs = attrs
 	return attrs

@@ -159,7 +159,7 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 	if decl == nil || !decl.HasAttr(op.Attr) {
 		return opUndeclaredAttr
 	}
-	old, ok := n.Attrs[op.Attr]
+	old, ok := n.Attr(op.Attr)
 	if !ok {
 		return opMissingAttr // unreachable for conforming documents
 	}
@@ -200,7 +200,7 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 	if s.anyViolated() {
 		return opConstraint // indexes stay in candidate state for the report builder
 	}
-	n.Attrs[op.Attr] = op.Value
+	n.SetAttr(op.Attr, op.Value)
 	return opOK
 }
 
@@ -279,7 +279,7 @@ func (s *Session) applyInsert(op *EditOp) *RejectedEdit {
 	if err != nil {
 		return s.structuralReject(op, "subtree XML: %v", err)
 	}
-	if rep := s.ck.RunFragment(sub.Root); !rep.OK() {
+	if rep := s.frag.Check(sub.Root); !rep.OK() {
 		return s.structuralReject(op, "inserted subtree: %s", rep.Violations[0].Msg)
 	}
 	if !s.replay(parent, op.Index, true, sub.Root.Label) {

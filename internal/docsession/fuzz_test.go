@@ -238,10 +238,10 @@ func shadowApply(doc string, op EditOp) (out string, applicable bool) {
 	}
 	switch op.Kind {
 	case OpSetAttr:
-		if _, ok := n.Attrs[op.Attr]; !ok {
+		if _, ok := n.Attr(op.Attr); !ok {
 			return "", false
 		}
-		n.Attrs[op.Attr] = op.Value
+		n.SetAttr(op.Attr, op.Value)
 	case OpSetText:
 		for _, c := range n.Children {
 			if !c.IsText() {

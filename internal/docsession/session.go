@@ -79,7 +79,7 @@ type plan struct {
 type Session struct {
 	mu    sync.Mutex
 	d     *dtd.DTD
-	ck    *doccheck.Checker
+	frag  *doccheck.Fragment // checks inserted subtrees
 	v     *xmltree.Validator
 	plan  *plan
 	tree  *xmltree.Tree
@@ -111,7 +111,7 @@ type Session struct {
 func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.Reader) (*Session, error) {
 	s := &Session{
 		d:       v.DTD(),
-		ck:      ck,
+		frag:    ck.NewFragment(),
 		v:       v,
 		wide:    make(map[*xmltree.Node]*kids),
 		runPool: make(map[string]*dtd.Run),
@@ -336,7 +336,7 @@ func findChild(n *xmltree.Node, label string, idx int) (*xmltree.Node, int) {
 func (s *Session) tupleOf(n *xmltree.Node, attrs []string) ([]string, bool) {
 	vals := s.vals[:len(attrs)]
 	for i, a := range attrs {
-		v, ok := n.Attrs[a]
+		v, ok := n.Attr(a)
 		if !ok {
 			return nil, false
 		}
@@ -356,7 +356,7 @@ func (s *Session) tupleOfWith(n *xmltree.Node, attrs []string, attr, value strin
 			vals[i] = value
 			continue
 		}
-		v, ok := n.Attrs[a]
+		v, ok := n.Attr(a)
 		if !ok {
 			return nil, false
 		}

@@ -3,6 +3,7 @@ package docsession
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -408,6 +409,33 @@ func TestAppendFastPath(t *testing.T) {
 	revalidate(t, s, libDTD, libSigma)
 }
 
+// TestInsertLeavesNeighboursUnchanged inserts into a parent whose child
+// list the open carved right before another element's: the insert must
+// move the list rather than write over its neighbour's.
+func TestInsertLeavesNeighboursUnchanged(t *testing.T) {
+	s := openLib(t, libDTD, libSigma, `<lib><grp id="a" tag="x"><item>one</item></grp><grp id="b" tag="y"><item>two</item></grp><ref to="a"/></lib>`)
+	type state struct {
+		kids  []*xmltree.Node
+		attrs []xmltree.Attr
+	}
+	before := make(map[*xmltree.Node]state)
+	s.tree.Walk(func(n *xmltree.Node) bool {
+		before[n] = state{slices.Clone(n.Children), slices.Clone(n.Attrs())}
+		return true
+	})
+	grp := s.tree.Root.Children[0]
+	if res := s.Apply(InsertSubtree("lib/grp[0]", 1, "<item>new</item>")); res.Rejected != nil {
+		t.Fatalf("insert rejected: %+v", res.Rejected)
+	}
+	for n, was := range before {
+		if n != grp && (!slices.Equal(n.Children, was.kids) || !slices.Equal(n.Attrs(), was.attrs)) {
+			t.Fatalf("the insert changed %s: %d children, attributes %v; was %d, %v",
+				n.Label, len(n.Children), n.Attrs(), len(was.kids), was.attrs)
+		}
+	}
+	revalidate(t, s, libDTD, libSigma)
+}
+
 // TestSessionAllocFree pins the ISSUE's zero-allocation guarantee: the
 // steady-state SetAttr and SetText apply paths allocate nothing.
 func TestSessionAllocFree(t *testing.T) {
@@ -587,13 +615,10 @@ func TestWideEditsResumeReplay(t *testing.T) {
 	revalidate(t, s, libDTD, libSigma)
 }
 
-// TestOpenAllocsPerElement bounds the heap objects an open allocates per
-// element on a ledger-shaped document, where one wide root holds 2000
-// narrow txn elements. The tree (an attribute map, a string per attribute
-// value and per text run, child slices) and the constraint indexes (a
-// string per indexed value) take about 5.1; keeping a content-model
-// checkpoint for every element took one more, 6.1.
-func TestOpenAllocsPerElement(t *testing.T) {
+// ledgerDoc is a ledger-shaped document, where one wide root holds 2000
+// narrow txn elements, with a checker for it.
+func ledgerDoc(t *testing.T) (*doccheck.Checker, *xmltree.Validator, string) {
+	t.Helper()
 	const dtdSrc = `
 <!ELEMENT ledger (acct+, txn*)>
 <!ELEMENT acct EMPTY>
@@ -618,7 +643,6 @@ func TestOpenAllocsPerElement(t *testing.T) {
 		fmt.Fprintf(&b, "<amt>%d</amt></txn>\n", i*13%10000)
 	}
 	b.WriteString("</ledger>")
-	doc := b.String()
 	d, err := dtd.Parse(dtdSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -628,8 +652,17 @@ func TestOpenAllocsPerElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := xmltree.NewValidator(d)
-	v.CompileAll()
-	ck := doccheck.New(d, v, cons)
+	return doccheck.New(d, v, cons), v, b.String()
+}
+
+// TestOpenAllocsPerElement bounds the heap objects an open allocates per
+// element on the ledger document. The tree's nodes, attribute pairs,
+// child lists and text come from a few slabs per document, so most of
+// what is left is the constraint indexes' copy of every indexed value. An
+// attribute map per element, a string per value and text run and
+// appended child slices took 5.1.
+func TestOpenAllocsPerElement(t *testing.T) {
+	ck, v, doc := ledgerDoc(t)
 	var elems int
 	allocs := testing.AllocsPerRun(5, func() {
 		s, err := Open(context.Background(), ck, v, strings.NewReader(doc))
@@ -638,10 +671,41 @@ func TestOpenAllocsPerElement(t *testing.T) {
 		}
 		elems = s.elems
 	})
-	if per := allocs / float64(elems); per > 5.6 {
-		t.Fatalf("Open allocates %.2f objects per element (%v for %d elements), want at most 5.6", per, allocs, elems)
+	if per := allocs / float64(elems); per > maxOpenAllocsPerElement {
+		t.Fatalf("Open allocates %.2f objects per element (%v for %d elements), want at most %v", per, allocs, elems, maxOpenAllocsPerElement)
 	}
 }
+
+// maxOpenAllocsPerElement is 1.33, the layout's measurement, plus 10%.
+const maxOpenAllocsPerElement = 1.46
+
+// TestOpenRetainedBytesPerElement bounds the heap an open session keeps
+// per element, after a collection, on the ledger document. With an
+// attribute map per element it kept 331 B (355 B under -race).
+func TestOpenRetainedBytesPerElement(t *testing.T) {
+	ck, v, doc := ledgerDoc(t)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+	s, err := Open(context.Background(), ck, v, strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(int64(ms.HeapAlloc)-before) / float64(s.elems)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(doc)
+	if per > maxRetainedPerElement {
+		t.Fatalf("an open session keeps %.0f B per element, want at most %v", per, maxRetainedPerElement)
+	}
+}
+
+// maxRetainedPerElement is 267 B, the layout's measurement under -race
+// (264 B without), plus 10%. Of the 267 B, the 80-byte nodes take 126 B:
+// this document has 1.6 nodes per element.
+const maxRetainedPerElement = 294
 
 // TestRejectionReportTuples pins which dangling tuples a rejection
 // reports, and in what order — by first position, then tuple — for a

@@ -208,7 +208,7 @@ func naiveApply(t *xmltree.Tree, op xic.EditOp) error {
 	}
 	switch op.Kind {
 	case xic.OpSetAttr:
-		n.Attrs[op.Attr] = op.Value
+		n.SetAttr(op.Attr, op.Value)
 	case xic.OpSetText:
 		if len(n.Children) == 1 && n.Children[0].IsText() {
 			n.Children[0].Value = op.Value

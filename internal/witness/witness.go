@@ -300,8 +300,8 @@ func collapse(n *xmltree.Node, simp *dtd.Simplified) *xmltree.Node {
 		return n
 	}
 	out := xmltree.NewElement(n.Label)
-	for a, v := range n.Attrs {
-		out.SetAttr(a, v)
+	for _, a := range n.Attrs() {
+		out.SetAttr(a.Name, a.Value)
 	}
 	var splice func(children []*xmltree.Node)
 	splice = func(children []*xmltree.Node) {

@@ -53,7 +53,7 @@ func (v *Validator) Validate(t *Tree) error {
 
 func (v *Validator) validateNode(t *Tree, n *Node) error {
 	if n.IsText() {
-		if len(n.Children) > 0 || len(n.Attrs) > 0 {
+		if len(n.Children) > 0 || len(n.Attrs()) > 0 {
 			return fmt.Errorf("xmltree: text node with children or attributes at %s", t.Path(n))
 		}
 		return nil
@@ -62,17 +62,17 @@ func (v *Validator) validateNode(t *Tree, n *Node) error {
 	if decl == nil {
 		return fmt.Errorf("xmltree: element type %q at %s is not declared", n.Label, t.Path(n))
 	}
-	// Attributes: exactly R(τ), each single-valued (the map guarantees
-	// single values; presence of every declared attribute is required).
+	// Attributes: exactly R(τ), each single-valued (SetAttr keeps one
+	// value per name; presence of every declared attribute is required).
 	for _, l := range decl.Attrs {
 		if _, ok := n.Attr(l); !ok {
 			return fmt.Errorf("xmltree: element %s lacks required attribute %q", t.Path(n), l)
 		}
 	}
-	if len(n.Attrs) > len(decl.Attrs) {
-		for _, l := range n.AttrNames() {
-			if !decl.HasAttr(l) {
-				return fmt.Errorf("xmltree: element %s has undeclared attribute %q", t.Path(n), l)
+	if len(n.Attrs()) > len(decl.Attrs) {
+		for _, a := range n.Attrs() {
+			if !decl.HasAttr(a.Name) {
+				return fmt.Errorf("xmltree: element %s has undeclared attribute %q", t.Path(n), a.Name)
 			}
 		}
 	}

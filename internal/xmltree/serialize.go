@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -17,8 +16,8 @@ var indentRun = strings.Repeat("  ", maxIndent)
 func indent(depth int) string { return indentRun[:2*min(depth, maxIndent)] }
 
 // Serialize renders the tree as indented XML text, two spaces per level
-// up to maxIndent levels. Attributes are emitted in sorted name order so
-// output is deterministic. The walk is iterative, so nesting depth is
+// up to maxIndent levels. Attributes are emitted in the sorted name order
+// the node keeps them in, so output is deterministic. The walk is iterative, so nesting depth is
 // bounded by memory, not by the goroutine stack.
 func Serialize(t *Tree) string {
 	if t == nil || t.Root == nil {
@@ -51,7 +50,6 @@ type serializer struct {
 		n    *Node
 		next int
 	}
-	names []string
 }
 
 // open writes a node at the current depth: text and childless or
@@ -67,16 +65,11 @@ func (w *serializer) open(n *Node) {
 	}
 	b.WriteString("<")
 	b.WriteString(n.Label)
-	w.names = w.names[:0]
-	for a := range n.Attrs {
-		w.names = append(w.names, a)
-	}
-	sort.Strings(w.names)
-	for _, a := range w.names {
+	for _, a := range n.attrs {
 		b.WriteString(" ")
-		b.WriteString(a)
+		b.WriteString(a.Name)
 		b.WriteString(`="`)
-		escape(b, n.Attrs[a])
+		escape(b, a.Value)
 		b.WriteString(`"`)
 	}
 	switch {

@@ -6,20 +6,27 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"xic/internal/dtd"
 )
 
 // Node is a node of an XML tree: either an element (Label is its element
 // type) or a text node (Label is dtd.TextSymbol and Value holds the text).
-// Attributes — which Definition 2.2 also models as nodes — are stored as a
-// name→value map since only their string values ever matter.
+// Attributes — which Definition 2.2 also models as nodes — are kept as
+// (name, value) pairs sorted by name, since only their string values ever
+// matter; Attr, SetAttr, AttrNames and Attrs reach them.
 type Node struct {
 	Label    string
-	Value    string            // text content; meaningful for text nodes only
-	Attrs    map[string]string // attribute values; nil when empty
-	Children []*Node           // subelements and text nodes in document order
+	Value    string  // text content; meaningful for text nodes only
+	Children []*Node // subelements and text nodes in document order
+	attrs    []Attr  // sorted by name; nil when empty
+}
+
+// Attr is one attribute of an element.
+type Attr struct {
+	Name, Value string
 }
 
 // NewElement returns an element node with the given element type.
@@ -36,28 +43,56 @@ func NewText(value string) *Node {
 func (n *Node) IsText() bool { return n.Label == dtd.TextSymbol }
 
 // SetAttr sets the value of attribute l and returns the node, allowing
-// fluent construction.
+// fluent construction. A new name reallocates a full attribute slice, so
+// a node whose pairs a Builder carved never writes over its neighbour's.
 func (n *Node) SetAttr(l, v string) *Node {
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]string)
+	if i := n.attrIndex(l); i >= 0 {
+		n.attrs[i].Value = v
+		return n
 	}
-	n.Attrs[l] = v
+	i := 0
+	for i < len(n.attrs) && n.attrs[i].Name < l {
+		i++
+	}
+	n.attrs = slices.Insert(n.attrs, i, Attr{Name: l, Value: v})
 	return n
 }
 
 // Attr returns the value of attribute l on the node.
+//
+//xic:hotpath
 func (n *Node) Attr(l string) (string, bool) {
-	v, ok := n.Attrs[l]
-	return v, ok
+	if i := n.attrIndex(l); i >= 0 {
+		return n.attrs[i].Value, true
+	}
+	return "", false
 }
+
+// attrIndex returns the position of attribute l among the node's pairs,
+// or -1. An element has few attributes, and == rejects a name of another
+// length without reading its bytes, so a scan beats a binary search's
+// ordered comparisons.
+//
+//xic:hotpath
+func (n *Node) attrIndex(l string) int {
+	for i := range n.attrs {
+		if n.attrs[i].Name == l {
+			return i
+		}
+	}
+	return -1
+}
+
+// Attrs returns the node's attributes, sorted by name. The slice is the
+// node's own: read it, and change attributes only through SetAttr.
+func (n *Node) Attrs() []Attr { return n.attrs }
 
 // AttrNames returns the node's attribute names, sorted.
 func (n *Node) AttrNames() []string {
-	out := make([]string, 0, len(n.Attrs))
-	for a := range n.Attrs {
-		out = append(out, a)
+	out := make([]string, len(n.attrs))
+	for i, a := range n.attrs {
+		out[i] = a.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -129,32 +164,35 @@ func (t *Tree) ExtAttr(label, attr string) map[string]bool {
 func (t *Tree) Size() int {
 	n := 0
 	t.Walk(func(node *Node) bool {
-		n += 1 + len(node.Attrs)
+		n += 1 + len(node.attrs)
 		return true
 	})
 	return n
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree. Every node gets its own copy of
+// the attribute pairs, so editing the copy never reaches the original. It
+// does not recurse, so no depth of tree can overflow the stack.
 func (t *Tree) Clone() *Tree {
 	if t == nil || t.Root == nil {
 		return &Tree{}
 	}
-	return &Tree{Root: cloneNode(t.Root)}
-}
-
-func cloneNode(n *Node) *Node {
-	c := &Node{Label: n.Label, Value: n.Value}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			c.Attrs[k] = v
+	type pair struct{ from, to *Node }
+	root := &Node{}
+	stack := []pair{{t.Root, root}}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		p.to.Label, p.to.Value, p.to.attrs = p.from.Label, p.from.Value, slices.Clone(p.from.attrs)
+		if len(p.from.Children) > 0 {
+			p.to.Children = make([]*Node, len(p.from.Children))
+			for i, c := range p.from.Children {
+				p.to.Children[i] = &Node{}
+				stack = append(stack, pair{c, p.to.Children[i]})
+			}
 		}
 	}
-	for _, ch := range n.Children {
-		c.Children = append(c.Children, cloneNode(ch))
-	}
-	return c
+	return &Tree{Root: root}
 }
 
 // String renders the tree as indented XML text.
@@ -164,26 +202,45 @@ func (t *Tree) String() string {
 
 // Path returns a /-separated element path from the root to the node,
 // using child indices for disambiguation, e.g. teachers/teacher[1]/teach[0].
-// It returns "" if the node is not in the tree.
+// It returns "" if the node is not in the tree. The search does not
+// recurse, so no depth of tree can overflow the stack.
 func (t *Tree) Path(target *Node) string {
 	if t.Root == target {
 		return t.Root.Label
 	}
-	var rec func(n *Node, prefix string) string
-	rec = func(n *Node, prefix string) string {
-		counts := map[string]int{}
-		for _, c := range n.Children {
-			idx := counts[c.Label]
-			counts[c.Label]++
-			p := fmt.Sprintf("%s/%s[%d]", prefix, c.Label, idx)
-			if c == target {
-				return p
-			}
-			if found := rec(c, p); found != "" {
-				return found
-			}
-		}
-		return ""
+	// The open elements of a pre-order search, each with the slot after
+	// the child it descended into.
+	type cursor struct {
+		n    *Node
+		next int
 	}
-	return rec(t.Root, t.Root.Label)
+	stack := []cursor{{n: t.Root}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == len(top.n.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := top.n.Children[top.next]
+		top.next++
+		if c != target {
+			stack = append(stack, cursor{n: c})
+			continue
+		}
+		var b strings.Builder
+		b.WriteString(t.Root.Label)
+		for _, cur := range stack {
+			slot := cur.next - 1
+			step := cur.n.Children[slot]
+			idx := 0
+			for _, sib := range cur.n.Children[:slot] {
+				if sib.Label == step.Label {
+					idx++
+				}
+			}
+			fmt.Fprintf(&b, "/%s[%d]", step.Label, idx)
+		}
+		return b.String()
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,8 +64,9 @@ func TestWalkPrune(t *testing.T) {
 	}
 }
 
-// TestWalkDeepChain walks a chain far deeper than a 1 MB goroutine stack
-// could recurse through: a recursive Walk dies of stack overflow here.
+// TestWalkDeepChain walks, clones and paths a chain far deeper than a
+// 1 MB goroutine stack could recurse through: a recursive Walk, Clone or
+// Path dies of stack overflow here.
 func TestWalkDeepChain(t *testing.T) {
 	const depth = 100000
 	root := NewElement("a").SetAttr("k", "v")
@@ -90,6 +92,12 @@ func TestWalkDeepChain(t *testing.T) {
 	if got := tr.Size(); got != 2*depth {
 		t.Fatalf("Size = %d, want %d", got, 2*depth)
 	}
+	if got := tr.Clone().Size(); got != 2*depth {
+		t.Fatalf("clone Size = %d, want %d", got, 2*depth)
+	}
+	if got, want := tr.Path(n), "a"+strings.Repeat("/a[0]", depth-1); got != want {
+		t.Fatalf("Path of the deepest node has %d bytes, want %d", len(got), len(want))
+	}
 }
 
 func TestSizeCountsAttributes(t *testing.T) {
@@ -99,12 +107,75 @@ func TestSizeCountsAttributes(t *testing.T) {
 	}
 }
 
+// snapshot records every node's label, value, attributes and children.
+func snapshot(tr *Tree) map[*Node]Node {
+	out := make(map[*Node]Node)
+	tr.Walk(func(n *Node) bool {
+		out[n] = Node{Label: n.Label, Value: n.Value,
+			Children: slices.Clone(n.Children), attrs: slices.Clone(n.attrs)}
+		return true
+	})
+	return out
+}
+
+// unchangedBut fails the test when a node of before other than edited
+// has changed.
+func unchangedBut(t *testing.T, before map[*Node]Node, edited *Node, what string) {
+	t.Helper()
+	for n, was := range before {
+		if n == edited {
+			continue
+		}
+		if n.Label != was.Label || n.Value != was.Value ||
+			!slices.Equal(n.Children, was.Children) || !slices.Equal(n.attrs, was.attrs) {
+			t.Fatalf("%s changed %s: attributes %v, %d children; was %v, %d children",
+				what, n.Label, n.attrs, len(n.Children), was.attrs, len(was.Children))
+		}
+	}
+}
+
+// TestCarvedSlicesIsolated edits nodes whose attribute pairs and child
+// lists a Builder or Clone carved next to their neighbours': a new
+// attribute, a new child and a new value must each reach their own node
+// only.
+func TestCarvedSlicesIsolated(t *testing.T) {
+	const doc = `<r><a p="1"><x k="1"/><y k="2"/></a><b q="2"><z k="3"/></b><c s="3"/></r>`
+	for _, edit := range []struct {
+		name string
+		node func(*Tree) *Node
+		do   func(*Node)
+	}{
+		{"SetAttr of a new name", func(tr *Tree) *Node { return tr.Root.Children[0] }, func(n *Node) { n.SetAttr("zz", "new") }},
+		{"SetAttr before the first name", func(tr *Tree) *Node { return tr.Root.Children[1] }, func(n *Node) { n.SetAttr("a", "new") }},
+		{"Append", func(tr *Tree) *Node { return tr.Root.Children[0] }, func(n *Node) { n.Append(NewElement("w")) }},
+	} {
+		tr, err := ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := snapshot(tr)
+		n := edit.node(tr)
+		edit.do(n)
+		unchangedBut(t, before, n, edit.name)
+
+		// The same edit on a clone, and a new value for an attribute it
+		// has, leave the original whole, and the clone's other nodes too.
+		c := tr.Clone()
+		orig, copied := snapshot(tr), snapshot(c)
+		n = edit.node(c)
+		edit.do(n)
+		n.SetAttr(n.attrs[0].Name, "changed")
+		unchangedBut(t, orig, nil, edit.name+" on a clone")
+		unchangedBut(t, copied, n, edit.name+" on a clone")
+	}
+}
+
 func TestClone(t *testing.T) {
 	tr := Figure1()
 	c := tr.Clone()
 	c.Root.Children[0].SetAttr("name", "Changed")
 	if v, _ := tr.Root.Children[0].Attr("name"); v != "Joe" {
-		t.Error("Clone shares attribute maps with the original")
+		t.Error("Clone shares attributes with the original")
 	}
 	if tr.Size() != c.Size() {
 		t.Errorf("clone size %d != original size %d", c.Size(), tr.Size())
@@ -137,7 +208,8 @@ func TestValidateRejections(t *testing.T) {
 	v := NewValidator(d)
 
 	missingAttr := Figure1()
-	delete(missingAttr.Root.Children[0].Attrs, "name")
+	teacher := missingAttr.Root.Children[0]
+	missingAttr.Root.Children[0] = NewElement(teacher.Label).Append(teacher.Children...)
 	if err := v.Validate(missingAttr); err == nil || !strings.Contains(err.Error(), "name") {
 		t.Errorf("missing attribute not reported: %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/xml"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,13 +32,8 @@ func equalTrees(a, b *Node) bool {
 	if a.Label != b.Label || a.Value != b.Value {
 		return false
 	}
-	if len(a.Attrs) != len(b.Attrs) {
+	if !slices.Equal(a.Attrs(), b.Attrs()) {
 		return false
-	}
-	for k, v := range a.Attrs {
-		if b.Attrs[k] != v {
-			return false
-		}
 	}
 	if len(a.Children) != len(b.Children) {
 		return false
@@ -69,6 +66,27 @@ func TestParseTextCoalescing(t *testing.T) {
 	}
 	if got := tr.Root.Children[0].Value; got != "one & two" {
 		t.Errorf("text = %q, want %q", got, "one & two")
+	}
+}
+
+// TestParseSplitTextLinear parses one text run that 20000 comments split:
+// extending the run by string concatenation copied all of it at every
+// piece, 431 MB for this 180 KB document. The run is built once, so Parse
+// allocates a small multiple of the document.
+func TestParseSplitTextLinear(t *testing.T) {
+	doc := "<r>" + strings.Repeat("xy<!---->", 20000) + "</r>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := ParseString(doc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Root.Children) != 1 || tr.Root.Children[0].Value != strings.Repeat("xy", 20000) {
+		t.Fatalf("the split run does not parse as one text node")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(doc)) {
+		t.Fatalf("Parse allocates %d bytes for a %d-byte document, want at most 64x", alloc, len(doc))
 	}
 }
 
