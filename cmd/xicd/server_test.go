@@ -399,28 +399,38 @@ func TestUnsupportedDeclarationIs400(t *testing.T) {
 func TestBodyLimits(t *testing.T) {
 	// JSON endpoints bound by MaxBody, validate by MaxDoc.
 	h := newTestServer(t, config{MaxBody: 1024, MaxDoc: 1024}).handler()
+	// Every error body is exactly one JSON value: decode fails on a second
+	// one, as a handler that writes its error and falls through leaves.
+	wantError := func(w *httptest.ResponseRecorder, what string, status int, kind string) {
+		t.Helper()
+		if w.Code != status {
+			t.Fatalf("%s: status %d, want %d: %s", what, w.Code, status, w.Body)
+		}
+		if b := decode[map[string]errorBody](t, w)["error"]; b.Status != status || b.Kind != kind {
+			t.Fatalf("%s: error body has status %d, kind %q; want %d, %q", what, b.Status, b.Kind, status, kind)
+		}
+	}
 
 	big, _ := json.Marshal(compileRequest{DTD: strings.Repeat("<!ELEMENT r EMPTY>", 100)})
-	w := do(t, h, "POST", "/v1/specs", string(big))
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized compile body: status %d, want 413", w.Code)
-	}
+	wantError(do(t, h, "POST", "/v1/specs", string(big)), "oversized compile body", http.StatusRequestEntityTooLarge, "request")
+	wantError(do(t, h, "POST", "/v1/schemas", string(big)), "oversized schema body", http.StatusRequestEntityTooLarge, "request")
 
 	db := compileSpec(t, h, dbDTD, dbXIC) // small enough? dbDTD+dbXIC ≈ 250 bytes JSON — may exceed 256
 	doc := "<db>" + strings.Repeat(`<dept id="d"/>`, 100) + "</db>"
-	w = do(t, h, "POST", "/v1/specs/"+db+"/validate", doc)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized document: status %d, want 413: %s", w.Code, w.Body)
-	}
+	wantError(do(t, h, "POST", "/v1/specs/"+db+"/validate", doc), "oversized document", http.StatusRequestEntityTooLarge, "request")
+	wantError(do(t, h, "POST", "/v1/specs/"+db+"/sessions", doc), "oversized session document", http.StatusRequestEntityTooLarge, "request")
 
 	// A cut inside a multi-byte character is still the size limit, not a
 	// syntax error: the 1024th byte starts a two-byte "é".
 	doc = "<db>" + strings.Repeat("x", 1019) + "é</db>"
 	for _, path := range []string{"/v1/specs/" + db + "/validate", "/v1/specs/" + db + "/sessions"} {
-		if w := do(t, h, "POST", path, doc); w.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: document cut inside a character: status %d, want 413: %s", path, w.Code, w.Body)
-		}
+		wantError(do(t, h, "POST", path, doc), path+": document cut inside a character", http.StatusRequestEntityTooLarge, "request")
 	}
+
+	// A content model over the position bound is a spec error, rejected
+	// before its automaton is built: nesting + 30 deep has 2^30 positions.
+	nested, _ := json.Marshal(compileSchemaRequest{DTD: "<!ELEMENT r " + strings.Repeat("(", 30) + "a" + strings.Repeat(")+", 30) + "><!ELEMENT a EMPTY>"})
+	wantError(do(t, h, "POST", "/v1/schemas", string(nested)), "content model over the position bound", http.StatusUnprocessableEntity, "spec")
 }
 
 func TestTimeoutCancelsMidSolve(t *testing.T) {

@@ -6,12 +6,12 @@
 // constraint.Satisfied decide the same questions independently, as the
 // tests' oracle.
 //
-// Memory is bounded by the open-element stack and the constraint hash
-// indexes, never by the document: DTD conformance feeds each element's
+// Memory is bounded by the open-element stack and the constraint tuple
+// tables, never by the document: DTD conformance feeds each element's
 // child-label sequence into the cached Glushkov automaton incrementally
 // (one dtd.Run per open element), keys deduplicate through per-constraint
-// value sets, and inclusion constraints collect child and parent value
-// sets that are resolved at end-of-document — which is also what lets a
+// tuple tables (table.go), and inclusion constraints collect child and
+// parent tuples that are resolved at end-of-document — which is also what lets a
 // foreign key reference an element that appears later in the document.
 package doccheck
 
@@ -330,6 +330,7 @@ type run struct {
 
 	attrs   []xmlscan.Attr // a tree node's attributes (treeAttrs)
 	cursors []cursor       // a tree pass's open elements (walk)
+	buf     []byte         // the latest multi-attribute tuple (tuple)
 
 	ctx  context.Context // nil for a fragment, which no context bounds
 	done <-chan struct{} // ctx.Done(); nil when nothing can cancel the pass
@@ -678,27 +679,74 @@ func lookupAttr(attrs []xmlscan.Attr, name string) int {
 	return -1
 }
 
-// tupleVals fills dst with the values of the named attributes, reporting
-// whether all are present. Nodes lacking a referenced attribute contribute
-// no tuple, exactly as in constraint.Satisfied.
+// tuple returns the element's tuple over the named attributes in
+// TupleKey's encoding, without copying a value: a unary tuple is a view of
+// the attribute's value, a wider one is encoded into the run's reused
+// buffer. The view is valid until the next call and until the attributes
+// change; the indexes copy what they keep. ok is false when an attribute
+// is missing: such an element contributes no tuple, exactly as in
+// constraint.Satisfied.
 //
 //xic:hotpath
-func tupleVals(attrs []xmlscan.Attr, names []string, dst []string) bool {
-	for i, name := range names {
+func (rn *run) tuple(attrs []xmlscan.Attr, names []string) (t string, ok bool) {
+	if len(names) == 1 {
+		j := lookupAttr(attrs, names[0])
+		if j < 0 {
+			return "", false
+		}
+		return view(attrs[j].Value), true
+	}
+	w := 0
+	for _, name := range names {
 		j := lookupAttr(attrs, name)
 		if j < 0 {
-			return false
+			return "", false
 		}
-		dst[i] = string(attrs[j].Value) //xic:ignore hotalloc the indexes keep every tuple value they are handed: one string per indexed value
+		v := attrs[j].Value
+		if need := w + maxLenPrefix + len(v); need > len(rn.buf) {
+			rn.growBuf(need) //xic:ignore hotalloc cold: the buffer doubles until it holds the widest tuple
+		}
+		w = putLenPrefix(rn.buf, w, len(v))
+		w += copy(rn.buf[w:], v)
 	}
-	return true
+	return view(rn.buf[:w]), true
+}
+
+// maxLenPrefix bounds a length prefix: 19 decimal digits and the colon.
+const maxLenPrefix = 20
+
+// putLenPrefix writes constraint.TupleKey's prefix for a value of n
+// bytes, n in decimal and a colon, at b[w:] and returns where it ends.
+//
+//xic:hotpath
+func putLenPrefix(b []byte, w, n int) int {
+	var digits [maxLenPrefix]byte
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + n%10)
+		if n /= 10; n == 0 {
+			break
+		}
+	}
+	w += copy(b[w:], digits[i:])
+	b[w] = ':'
+	return w + 1
+}
+
+// growBuf makes the tuple buffer at least n bytes long, keeping its
+// contents.
+func (rn *run) growBuf(n int) {
+	b := make([]byte, max(n, 2*len(rn.buf), 64))
+	copy(b, rn.buf)
+	rn.buf = b
 }
 
 // TupleKey encodes one attribute tuple as a comparable index key. The
 // unary case — by far the common one for keys — is the raw value, with no
 // allocation; wider tuples pay constraint.TupleKey's length-prefixed
-// encoding. Every index key goes through here, this package's and a
-// document session's alike, so the two encodings never mix within one
+// encoding. A document session keys its index edits through here, and the
+// pass's own tuple writes the same bytes, so the two never mix within one
 // index.
 //
 //xic:hotpath
@@ -740,21 +788,21 @@ func (c *Checker) newConstraintState(retain bool) (cols []collector, observed []
 		case constraint.Key:
 			ki := NewKeyIndex(x.Type, x.Attrs)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Key: ki})
-			reg(x.Type, &keyCol{c: x, idx: ki, vals: make([]string, len(x.Attrs))})
+			reg(x.Type, &keyCol{c: x, idx: ki})
 		case constraint.ForeignKey:
 			k := x.Key()
 			ki := NewKeyIndex(k.Type, k.Attrs)
 			inc := NewInclusionIndex(x.Inclusion)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Key: ki, Incl: inc})
-			reg(k.Type, &keyCol{c: x, idx: ki, vals: make([]string, len(k.Attrs))})
-			ic := newInclCol(x, inc, false)
+			reg(k.Type, &keyCol{c: x, idx: ki})
+			ic := &inclCol{c: x, idx: inc}
 			reg(x.Child, (*inclusionChild)(ic))
 			reg(x.Parent, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
 		case constraint.Inclusion:
 			inc := NewInclusionIndex(x)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Incl: inc})
-			ic := newInclCol(x, inc, false)
+			ic := &inclCol{c: x, idx: inc}
 			reg(x.Child, (*inclusionChild)(ic))
 			reg(x.Parent, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
@@ -767,7 +815,7 @@ func (c *Checker) newConstraintState(retain bool) (cols []collector, observed []
 		case constraint.NotInclusion:
 			inc := NewInclusionIndex(x.Inclusion())
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Incl: inc})
-			ic := newInclCol(x, inc, true)
+			ic := &inclCol{c: x, idx: inc, neg: true}
 			reg(inc.ChildType, (*inclusionChild)(ic))
 			reg(inc.ParentType, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
@@ -780,17 +828,16 @@ func (c *Checker) newConstraintState(retain bool) (cols []collector, observed []
 // a streaming view over a KeyIndex: a repeated tuple is a violation at
 // the repeating element.
 type keyCol struct {
-	c    constraint.Constraint
-	idx  *KeyIndex
-	vals []string
+	c   constraint.Constraint
+	idx *KeyIndex
 }
 
 //xic:hotpath
 func (k *keyCol) element(rn *run, attrs []xmlscan.Attr) {
-	if !tupleVals(attrs, k.idx.Attrs, k.vals) {
+	t, ok := rn.tuple(attrs, k.idx.Attrs)
+	if !ok {
 		return // no tuple, cannot collide (constraint.Satisfied semantics)
 	}
-	t := TupleKey(k.vals)
 	if first, dup := k.idx.Add(t, SrcPos{Line: rn.line, Off: rn.off}); dup {
 		k.reportDup(rn, first) //xic:ignore hotalloc violation path: fires once per duplicate, steady state is valid documents
 	}
@@ -822,15 +869,14 @@ func (n *notKeyCol) element(rn *run, attrs []xmlscan.Attr) {
 	if n.sat && !n.retain {
 		return // satisfied; index already dropped
 	}
-	j := lookupAttr(attrs, n.c.Attr)
-	if j < 0 {
+	v, ok := rn.tuple(attrs, n.idx.Attrs)
+	if !ok {
 		return
 	}
-	v := string(attrs[j].Value) //xic:ignore hotalloc the index keeps every value it is handed
 	if _, dup := n.idx.Add(v, SrcPos{Line: rn.line, Off: rn.off}); dup {
 		n.sat = true
 		if !n.retain {
-			n.idx.seen = nil // satisfied; stop growing the index
+			n.idx.tab = table{} // satisfied; stop growing the index
 		}
 	}
 }
@@ -846,22 +892,13 @@ func (n *notKeyCol) finish(rn *run) {
 // inclCol enforces τ1[X] ⊆ τ2[Y] (or its negation) over an
 // InclusionIndex: child tuples pend until end-of-document, when they are
 // resolved against the parent tuple set — so a foreign key may reference
-// a parent that appears later in the document. Memory is one map entry
+// a parent that appears later in the document. Memory is one table entry
 // per distinct tuple.
 type inclCol struct {
 	c             constraint.Constraint
 	idx           *InclusionIndex
 	neg           bool
 	lacksReported bool
-	vals          []string
-}
-
-func newInclCol(reported constraint.Constraint, idx *InclusionIndex, neg bool) *inclCol {
-	n := len(idx.ChildAttrs)
-	if len(idx.ParentAttrs) > n {
-		n = len(idx.ParentAttrs)
-	}
-	return &inclCol{c: reported, idx: idx, neg: neg, vals: make([]string, n)}
 }
 
 // inclusionChild and inclusionParent are the two element-type views of one
@@ -871,8 +908,8 @@ type inclusionChild inclCol
 //xic:hotpath
 func (ic *inclusionChild) element(rn *run, attrs []xmlscan.Attr) {
 	in := (*inclCol)(ic)
-	vals := in.vals[:len(in.idx.ChildAttrs)]
-	if !tupleVals(attrs, in.idx.ChildAttrs, vals) {
+	t, ok := rn.tuple(attrs, in.idx.ChildAttrs)
+	if !ok {
 		in.idx.AddLacking()
 		if !in.neg && !in.lacksReported {
 			in.reportLacks(rn) //xic:ignore hotalloc violation path: fires at most once per document, steady state is valid documents
@@ -880,7 +917,7 @@ func (ic *inclusionChild) element(rn *run, attrs []xmlscan.Attr) {
 		in.lacksReported = true
 		return
 	}
-	in.idx.AddChild(TupleKey(vals), SrcPos{Line: rn.line, Off: rn.off})
+	in.idx.AddChild(t, SrcPos{Line: rn.line, Off: rn.off})
 }
 
 // reportLacks is the cold missing-tuple violation path.
@@ -894,11 +931,11 @@ type inclusionParent inclCol
 //xic:hotpath
 func (ip *inclusionParent) element(rn *run, attrs []xmlscan.Attr) {
 	in := (*inclCol)(ip)
-	vals := in.vals[:len(in.idx.ParentAttrs)]
-	if !tupleVals(attrs, in.idx.ParentAttrs, vals) {
+	t, ok := rn.tuple(attrs, in.idx.ParentAttrs)
+	if !ok {
 		return // contributes no tuple
 	}
-	in.idx.AddParent(TupleKey(vals))
+	in.idx.AddParent(t)
 }
 
 func (in *inclCol) finish(rn *run) {

@@ -231,10 +231,17 @@ func TestStreamViolationCap(t *testing.T) {
 // the number of distinct undeclared names seen so far.
 func TestPassMemoryFollowsTheDocument(t *testing.T) {
 	const depth = 3000
+	// 10,000 types hang off 100 group types, so that no content model
+	// has more than dtd.MaxPositions positions.
 	var types, alts strings.Builder
-	for i := 0; i < 10000; i++ {
-		fmt.Fprintf(&types, "<!ELEMENT t%d EMPTY>\n", i)
-		fmt.Fprintf(&alts, "|t%d", i)
+	for g := 0; g < 100; g++ {
+		fmt.Fprintf(&alts, "|g%d", g)
+		var members strings.Builder
+		for i := 100 * g; i < 100*(g+1); i++ {
+			fmt.Fprintf(&types, "<!ELEMENT t%d EMPTY>\n", i)
+			fmt.Fprintf(&members, "|t%d", i)
+		}
+		fmt.Fprintf(&types, "<!ELEMENT g%d (%s)*>\n", g, members.String()[1:])
 	}
 	many := "<!ELEMENT r (n, (" + alts.String()[1:] + ")*)>\n<!ELEMENT n (n?)>\n" + types.String()
 	nested := func(open, close func(i int) string) string {

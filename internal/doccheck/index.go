@@ -1,6 +1,10 @@
 package doccheck
 
-import "xic/internal/constraint"
+import (
+	"strings"
+
+	"xic/internal/constraint"
+)
 
 // This file holds the incremental constraint indexes. The streaming
 // collectors in doccheck.go are thin views over these types, and a
@@ -11,19 +15,12 @@ import "xic/internal/constraint"
 // incrementally so a constraint's status after an edit is O(1) to read.
 
 // SrcPos is a compact source position for index entries: keeping only
-// numbers (not paths) in the hash indexes keeps their memory at a few
+// numbers (not paths) in the tuple tables keeps their memory at a few
 // words per distinct value. Entries added after the initial pass (by a
 // document session) carry the zero SrcPos.
 type SrcPos struct {
 	Line int
 	Off  int64
-}
-
-// keyEntry is the per-tuple payload of a KeyIndex: the occurrence
-// refcount and the position of the first occurrence.
-type keyEntry struct {
-	count int
-	first SrcPos
 }
 
 // KeyIndex is the incremental occurrence index of one attribute tuple
@@ -34,30 +31,30 @@ type keyEntry struct {
 type KeyIndex struct {
 	Type  string
 	Attrs []string
-	seen  map[string]keyEntry
-	extra int // occurrences beyond the first, summed over tuples
+	tab   table // occurrences in entry.a
+	extra int   // occurrences beyond the first, summed over tuples
 }
 
 // NewKeyIndex returns an empty index over τ[X].
 func NewKeyIndex(typ string, attrs []string) *KeyIndex {
-	return &KeyIndex{Type: typ, Attrs: attrs, seen: make(map[string]keyEntry)}
+	return &KeyIndex{Type: typ, Attrs: attrs}
 }
 
 // Add records one occurrence of tuple t at pos. It returns the position
 // of the first recorded occurrence and whether this occurrence duplicates
-// an earlier one.
+// an earlier one. The index copies t's bytes, so t may be a view of a
+// buffer the caller reuses.
 //
 //xic:hotpath
 func (k *KeyIndex) Add(t string, pos SrcPos) (SrcPos, bool) {
-	e, ok := k.seen[t]
-	if ok {
-		e.count++
-		k.seen[t] = e
-		k.extra++
-		return e.first, true
+	e := k.tab.put(t)
+	e.a++
+	if e.a == 1 {
+		e.first = pos
+		return pos, false
 	}
-	k.seen[t] = keyEntry{count: 1, first: pos}
-	return pos, false
+	k.extra++
+	return e.first, true
 }
 
 // Remove removes one occurrence of tuple t, returning the first recorded
@@ -66,24 +63,29 @@ func (k *KeyIndex) Add(t string, pos SrcPos) (SrcPos, bool) {
 //
 //xic:hotpath
 func (k *KeyIndex) Remove(t string) SrcPos {
-	e, ok := k.seen[t]
-	if !ok {
+	_, at, i := k.tab.find(t)
+	if i < 0 {
 		return SrcPos{}
 	}
-	if e.count > 1 {
-		e.count--
-		k.seen[t] = e
+	e := &k.tab.entries[i]
+	first := e.first
+	if e.a--; e.a > 0 {
 		k.extra--
-		return e.first
+		return first
 	}
-	delete(k.seen, t)
-	return e.first
+	k.tab.free(at, i)
+	return first
 }
 
 // Count returns the occurrence refcount of tuple t.
 //
 //xic:hotpath
-func (k *KeyIndex) Count(t string) int { return k.seen[t].count }
+func (k *KeyIndex) Count(t string) int {
+	if e := k.tab.get(t); e != nil {
+		return e.a
+	}
+	return 0
+}
 
 // Dups returns the number of occurrences beyond the first, summed over
 // all tuples; 0 means every tuple is distinct.
@@ -92,37 +94,28 @@ func (k *KeyIndex) Count(t string) int { return k.seen[t].count }
 func (k *KeyIndex) Dups() int { return k.extra }
 
 // Len returns the number of distinct tuples in the index.
-func (k *KeyIndex) Len() int { return len(k.seen) }
+func (k *KeyIndex) Len() int { return k.tab.live }
 
 // Has reports whether tuple t is present.
 //
 //xic:hotpath
-func (k *KeyIndex) Has(t string) bool {
-	_, ok := k.seen[t]
-	return ok
-}
-
-// inclEntry is the per-tuple payload of the child side of an
-// InclusionIndex.
-type inclEntry struct {
-	count int
-	first SrcPos
-}
+func (k *KeyIndex) Has(t string) bool { return k.tab.get(t) != nil }
 
 // InclusionIndex is the incremental two-sided index of one inclusion
-// τ1[X] ⊆ τ2[Y] (or its negation): refcounted child and parent tuple
-// sets plus two derived counters — Lacking, the number of τ1 elements
-// carrying no X-tuple at all, and Unmatched, the number of distinct child
-// tuples with no parent occurrence. The inclusion is satisfied iff both
-// counters are zero; its negation is satisfied iff either is positive.
+// τ1[X] ⊆ τ2[Y] (or its negation): refcounted child and parent tuples
+// plus two derived counters — Lacking, the number of τ1 elements carrying
+// no X-tuple at all, and Unmatched, the number of distinct child tuples
+// with no parent occurrence. The inclusion is satisfied iff both counters
+// are zero; its negation is satisfied iff either is positive. One table
+// entry holds a tuple's child count, parent count and first child
+// position, so each insert is one probe.
 type InclusionIndex struct {
 	ChildType   string
 	ParentType  string
 	ChildAttrs  []string
 	ParentAttrs []string
 
-	children  map[string]inclEntry
-	parents   map[string]int
+	tab       table // child occurrences in entry.a, parent ones in entry.b
 	lacking   int
 	unmatched int
 }
@@ -134,25 +127,22 @@ func NewInclusionIndex(inc constraint.Inclusion) *InclusionIndex {
 		ParentType:  inc.Parent,
 		ChildAttrs:  inc.ChildAttrs,
 		ParentAttrs: inc.ParentAttrs,
-		children:    make(map[string]inclEntry),
-		parents:     make(map[string]int),
 	}
 }
 
-// AddChild records one child occurrence of tuple t at pos.
+// AddChild records one child occurrence of tuple t at pos. Like
+// KeyIndex.Add, it copies t's bytes.
 //
 //xic:hotpath
 func (in *InclusionIndex) AddChild(t string, pos SrcPos) {
-	e, ok := in.children[t]
-	if ok {
-		e.count++
-		in.children[t] = e
-		return
+	e := in.tab.put(t)
+	if e.a == 0 {
+		e.first = pos
+		if e.b == 0 {
+			in.unmatched++
+		}
 	}
-	in.children[t] = inclEntry{count: 1, first: pos}
-	if in.parents[t] == 0 {
-		in.unmatched++
-	}
+	e.a++
 }
 
 // RemoveChild removes one child occurrence of tuple t, returning the
@@ -160,51 +150,47 @@ func (in *InclusionIndex) AddChild(t string, pos SrcPos) {
 //
 //xic:hotpath
 func (in *InclusionIndex) RemoveChild(t string) SrcPos {
-	e, ok := in.children[t]
-	if !ok {
+	_, at, i := in.tab.find(t)
+	if i < 0 || in.tab.entries[i].a == 0 {
 		return SrcPos{}
 	}
-	if e.count > 1 {
-		e.count--
-		in.children[t] = e
-		return e.first
-	}
-	delete(in.children, t)
-	if in.parents[t] == 0 {
+	e := &in.tab.entries[i]
+	first := e.first
+	if e.a--; e.a == 0 && e.b == 0 {
 		in.unmatched--
+		in.tab.free(at, i)
 	}
-	return e.first
+	return first
 }
 
 // AddParent records one parent occurrence of tuple t.
 //
 //xic:hotpath
 func (in *InclusionIndex) AddParent(t string) {
-	n := in.parents[t]
-	in.parents[t] = n + 1
-	if n == 0 {
-		if _, ok := in.children[t]; ok {
-			in.unmatched--
-		}
+	e := in.tab.put(t)
+	if e.b == 0 && e.a > 0 {
+		in.unmatched--
 	}
+	e.b++
 }
 
 // RemoveParent removes one parent occurrence of tuple t.
 //
 //xic:hotpath
 func (in *InclusionIndex) RemoveParent(t string) {
-	n := in.parents[t]
-	if n == 0 {
+	_, at, i := in.tab.find(t)
+	if i < 0 || in.tab.entries[i].b == 0 {
 		return
 	}
-	if n == 1 {
-		delete(in.parents, t)
-		if _, ok := in.children[t]; ok {
-			in.unmatched++
-		}
+	e := &in.tab.entries[i]
+	if e.b--; e.b > 0 {
 		return
 	}
-	in.parents[t] = n - 1
+	if e.a > 0 {
+		in.unmatched++
+		return
+	}
+	in.tab.free(at, i)
 }
 
 // AddLacking records one τ1 element that carries no X-tuple.
@@ -235,38 +221,48 @@ func (in *InclusionIndex) Unmatched() int { return in.unmatched }
 // HasParent reports whether tuple t occurs on the parent side.
 //
 //xic:hotpath
-func (in *InclusionIndex) HasParent(t string) bool { return in.parents[t] > 0 }
+func (in *InclusionIndex) HasParent(t string) bool { return in.ParentCount(t) > 0 }
 
 // ChildCount returns the child-side occurrence refcount of tuple t.
 //
 //xic:hotpath
-func (in *InclusionIndex) ChildCount(t string) int { return in.children[t].count }
+func (in *InclusionIndex) ChildCount(t string) int {
+	if e := in.tab.get(t); e != nil {
+		return e.a
+	}
+	return 0
+}
 
 // ParentCount returns the parent-side occurrence refcount of tuple t.
 //
 //xic:hotpath
-func (in *InclusionIndex) ParentCount(t string) int { return in.parents[t] }
+func (in *InclusionIndex) ParentCount(t string) int {
+	if e := in.tab.get(t); e != nil {
+		return e.b
+	}
+	return 0
+}
 
 // Dangling reports whether the child tuple t has no parent occurrence,
 // with the tuple's first recorded position.
 func (in *InclusionIndex) Dangling(t string) (first SrcPos, ok bool) {
-	e, ok := in.children[t]
-	if !ok || in.parents[t] > 0 {
+	e := in.tab.get(t)
+	if e == nil || e.a == 0 || e.b > 0 {
 		return SrcPos{}, false
 	}
 	return e.first, true
 }
 
 // EachUnmatched calls f for every distinct child tuple with no parent
-// occurrence, in unspecified order, with the tuple's first recorded
-// position.
+// occurrence, in the order the tuples first arrived, with the tuple's
+// first recorded position.
 func (in *InclusionIndex) EachUnmatched(f func(t string, first SrcPos)) {
 	if in.unmatched == 0 {
 		return
 	}
-	for t, e := range in.children {
-		if in.parents[t] == 0 {
-			f(t, e.first)
+	for i := range in.tab.entries {
+		if e := &in.tab.entries[i]; e.a > 0 && e.b == 0 {
+			f(strings.Clone(in.tab.tuple(i)), e.first) // a copy: f may change the index
 		}
 	}
 }
@@ -274,11 +270,13 @@ func (in *InclusionIndex) EachUnmatched(f func(t string, first SrcPos)) {
 // AnyParent returns some parent-side tuple, preferring one that is not
 // equal to avoid; used by repair hints ("point the dangling reference at
 // an existing target"). ok is false when the parent side is empty or only
-// holds avoid.
+// holds avoid. It returns at the first match.
 func (in *InclusionIndex) AnyParent(avoid string) (t string, ok bool) {
-	for p := range in.parents {
-		if p != avoid {
-			return p, true
+	for i := range in.tab.entries {
+		if in.tab.entries[i].b > 0 {
+			if p := in.tab.tuple(i); p != avoid {
+				return strings.Clone(p), true // a copy: the arena moves on compaction
+			}
 		}
 	}
 	return "", false

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -657,10 +658,11 @@ func ledgerDoc(t *testing.T) (*doccheck.Checker, *xmltree.Validator, string) {
 
 // TestOpenAllocsPerElement bounds the heap objects an open allocates per
 // element on the ledger document. The tree's nodes, attribute pairs,
-// child lists and text come from a few slabs per document, so most of
-// what is left is the constraint indexes' copy of every indexed value. An
-// attribute map per element, a string per value and text run and
-// appended child slices took 5.1.
+// child lists and text come from a few slabs per document, and the
+// constraint indexes from a few growing arrays per index, so what is left
+// is one object per 16 elements. An attribute map per element, a
+// string per value and text run and appended child slices took 5.1; the
+// tree's slabs with a string per indexed value took 1.33.
 func TestOpenAllocsPerElement(t *testing.T) {
 	ck, v, doc := ledgerDoc(t)
 	var elems int
@@ -672,29 +674,48 @@ func TestOpenAllocsPerElement(t *testing.T) {
 		elems = s.elems
 	})
 	if per := allocs / float64(elems); per > maxOpenAllocsPerElement {
-		t.Fatalf("Open allocates %.2f objects per element (%v for %d elements), want at most %v", per, allocs, elems, maxOpenAllocsPerElement)
+		t.Fatalf("Open allocates %.3f objects per element (%v for %d elements), want at most %v", per, allocs, elems, maxOpenAllocsPerElement)
 	}
 }
 
-// maxOpenAllocsPerElement is 1.33, the layout's measurement, plus 10%.
-const maxOpenAllocsPerElement = 1.46
+// maxOpenAllocsPerElement is 0.062, the tuple tables' measurement with
+// and without -race, plus 10%.
+const maxOpenAllocsPerElement = 0.068
+
+// TestRunAllocsPerElement bounds the heap objects a streaming validation
+// allocates per element on the ledger document: the pass's reader,
+// stacks and report, and the indexes' growing arrays. With a string per
+// indexed value and a Go map per index it took 1.30.
+func TestRunAllocsPerElement(t *testing.T) {
+	ck, _, doc := ledgerDoc(t)
+	var elems int
+	allocs := testing.AllocsPerRun(5, func() {
+		rep, err := ck.Run(context.Background(), strings.NewReader(doc))
+		if err != nil || !rep.OK() {
+			t.Fatalf("Run: %v, %+v", err, rep)
+		}
+		elems = rep.Elements
+	})
+	if per := allocs / float64(elems); per > maxRunAllocsPerElement {
+		t.Fatalf("Run allocates %.3f objects per element (%v for %d elements), want at most %v", per, allocs, elems, maxRunAllocsPerElement)
+	}
+}
+
+// maxRunAllocsPerElement is 0.032, the tuple tables' measurement with and
+// without -race, plus 10%.
+const maxRunAllocsPerElement = 0.035
 
 // TestOpenRetainedBytesPerElement bounds the heap an open session keeps
 // per element, after a collection, on the ledger document. With an
 // attribute map per element it kept 331 B (355 B under -race).
 func TestOpenRetainedBytesPerElement(t *testing.T) {
 	ck, v, doc := ledgerDoc(t)
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	before := int64(ms.HeapAlloc)
+	before := heapAfterGC()
 	s, err := Open(context.Background(), ck, v, strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	per := float64(int64(ms.HeapAlloc)-before) / float64(s.elems)
+	per := float64(heapAfterGC()-before) / float64(s.elems)
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(doc)
 	if per > maxRetainedPerElement {
@@ -702,10 +723,48 @@ func TestOpenRetainedBytesPerElement(t *testing.T) {
 	}
 }
 
-// maxRetainedPerElement is 267 B, the layout's measurement under -race
-// (264 B without), plus 10%. Of the 267 B, the 80-byte nodes take 126 B:
-// this document has 1.6 nodes per element.
-const maxRetainedPerElement = 294
+// maxRetainedPerElement is 254 B, the tuple tables' measurement with and
+// without -race in this package's test order, plus 10%. Of the 254 B, the
+// 80-byte nodes take 126 B: this document has 1.6 nodes per element. Go
+// maps with a string per indexed value kept 263 to 270 B.
+const maxRetainedPerElement = 279
+
+// heapAfterGC returns the live heap after a collection.
+func heapAfterGC() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestKeyChurnRetainsNoGarbage gives one key attribute a fresh value 10^5
+// times. Each value's tuple leaves the key index when the next arrives,
+// so the session's retained heap must stay where it was: an index that
+// never freed a removed tuple's entry and bytes would keep about 4 MB
+// more.
+func TestKeyChurnRetainsNoGarbage(t *testing.T) {
+	s := openLib(t, libDTD, libSigma, libDoc)
+	churn := func(from, to int) {
+		for i := from; i < to; i++ {
+			if res := s.Apply(SetAttr("lib/grp[1]", "id", "churn"+strconv.Itoa(i))); res.Rejected != nil {
+				t.Fatalf("edit %d rejected: %+v", i, res.Rejected)
+			}
+		}
+	}
+	churn(0, 1000) // warm the scratch buffers and the index's arrays
+	before := heapAfterGC()
+	churn(1000, 101000)
+	grown := heapAfterGC() - before
+	runtime.KeepAlive(s)
+	if grown > maxChurnGrowth {
+		t.Fatalf("10^5 key churns grew the retained heap by %d B, want at most %d", grown, maxChurnGrowth)
+	}
+	revalidate(t, s, libDTD, libSigma)
+}
+
+// maxChurnGrowth is the retained heap TestKeyChurnRetainsNoGarbage
+// tolerates, for GC noise.
+const maxChurnGrowth = 64 << 10
 
 // TestRejectionReportTuples pins which dangling tuples a rejection
 // reports, and in what order — by first position, then tuple — for a

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -21,21 +22,21 @@ type Automaton struct {
 	words    int // bitset width in uint64 words
 }
 
-// Compile builds the automaton for a content model.
+// Compile builds the automaton for a content model. Its memory and time
+// grow with the square of the model's positions; DTD.Check bounds them by
+// MaxPositions.
 func Compile(r Regex) *Automaton {
-	b := &glushkovBuilder{}
-	core := Desugar(r)
-	b.countPositions(core)
+	n := positions(r, math.MaxInt32)
 	a := &Automaton{
-		symbols:  make([]string, 0, b.n),
+		symbols:  make([]string, 0, n),
 		bySymbol: make(map[string]bitset),
 	}
-	a.words = (b.n + 63) / 64
-	a.follow = make([]bitset, b.n)
+	a.words = (n + 63) / 64
+	a.follow = make([]bitset, n)
 	for i := range a.follow {
 		a.follow[i] = newBitset(a.words)
 	}
-	info := a.build(core)
+	info := a.build(Desugar(r))
 	a.first = info.first
 	a.last = info.last
 	a.nullable = info.nullable
@@ -145,28 +146,41 @@ type glushkovInfo struct {
 	last     bitset
 }
 
-type glushkovBuilder struct {
-	n int
-}
+// MaxPositions bounds the positions of one content model: its element
+// type and #PCDATA occurrences once x+ is rewritten as (x, x*). Its
+// automaton keeps a follow set of MaxPositions bits per position, 128 KB
+// at the bound. Real content models have a few dozen positions.
+const MaxPositions = 1024
 
-func (b *glushkovBuilder) countPositions(r Regex) {
+// positions counts r's positions, as Compile lays them out, bottom-up on
+// the sugared model: x+ has twice x's. Counts saturate at limit+1, so a
+// model that nests + k deep costs time linear in its size, where walking
+// its desugared form would take 2^k steps.
+func positions(r Regex, limit int) int {
 	switch x := r.(type) {
 	case Name, Text:
-		b.n++
+		return 1
 	case Seq:
-		for _, it := range x.Items {
-			b.countPositions(it)
-		}
+		return sumPositions(x.Items, limit)
 	case Alt:
-		for _, it := range x.Items {
-			b.countPositions(it)
-		}
+		return sumPositions(x.Items, limit)
 	case Star:
-		b.countPositions(x.Inner)
-	case Empty:
-	default:
-		panic(fmt.Sprintf("dtd: unexpected node %T after Desugar", r))
+		return positions(x.Inner, limit)
+	case Opt:
+		return positions(x.Inner, limit)
+	case Plus:
+		return min(2*positions(x.Inner, limit), limit+1)
 	}
+	return 0 // Empty
+}
+
+// sumPositions is the saturating sum of the items' positions.
+func sumPositions(items []Regex, limit int) int {
+	n := 0
+	for _, it := range items {
+		n = min(n+positions(it, limit), limit+1)
+	}
+	return n
 }
 
 // build allocates positions in left-to-right order and fills follow sets.
@@ -182,10 +196,7 @@ func (a *Automaton) build(r Regex) glushkovInfo {
 		info := a.build(x.Items[0])
 		for _, it := range x.Items[1:] {
 			right := a.build(it)
-			// follow(last(left)) ⊇ first(right)
-			for _, p := range info.last.members() {
-				a.follow[p].or(right.first)
-			}
+			a.followAll(info.last, right.first) // follow(last(left)) ⊇ first(right)
 			first := newBitset(a.words)
 			first.or(info.first)
 			if info.nullable {
@@ -214,12 +225,21 @@ func (a *Automaton) build(r Regex) glushkovInfo {
 		return info
 	case Star:
 		sub := a.build(x.Inner)
-		for _, p := range sub.last.members() {
-			a.follow[p].or(sub.first)
-		}
+		a.followAll(sub.last, sub.first)
 		return glushkovInfo{nullable: true, first: sub.first, last: sub.last}
 	}
 	panic(fmt.Sprintf("dtd: unexpected node %T after Desugar", r))
+}
+
+// followAll adds next to the follow set of every position in last,
+// reading last in place.
+func (a *Automaton) followAll(last, next bitset) {
+	for wi, w := range last {
+		for w != 0 {
+			a.follow[wi*64+bits.TrailingZeros64(w)].or(next)
+			w &= w - 1
+		}
+	}
 }
 
 func (a *Automaton) leaf(sym string) glushkovInfo {
@@ -284,17 +304,4 @@ func (b bitset) intersectInto(x, y bitset) {
 	for i := range b {
 		b[i] = x[i] & y[i]
 	}
-}
-
-// members returns the indices present in the set, ascending.
-func (b bitset) members() []int {
-	var out []int
-	for wi, w := range b {
-		for w != 0 {
-			idx := bits.TrailingZeros64(w)
-			out = append(out, wi*64+idx)
-			w &= w - 1
-		}
-	}
-	return out
 }

@@ -259,3 +259,42 @@ func TestReuseAcrossAutomata(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionsCountsDesugaredLeaves checks the bottom-up count of a
+// sugared model against its desugared leaves, which Compile lays out one
+// position each, and its saturation just above the limit.
+func TestPositionsCountsDesugaredLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var leaves func(Regex) int
+	leaves = func(r Regex) int {
+		switch x := r.(type) {
+		case Name, Text:
+			return 1
+		case Seq:
+			n := 0
+			for _, it := range x.Items {
+				n += leaves(it)
+			}
+			return n
+		case Alt:
+			n := 0
+			for _, it := range x.Items {
+				n += leaves(it)
+			}
+			return n
+		case Star:
+			return leaves(x.Inner)
+		}
+		return 0
+	}
+	for trial := 0; trial < 300; trial++ {
+		r := randRegex(rng, 4)
+		want := leaves(Desugar(r))
+		if got := positions(r, MaxPositions); got != want {
+			t.Fatalf("positions(%v) = %d, want %d", r, got, want)
+		}
+		if got := positions(r, 3); got != min(want, 4) {
+			t.Fatalf("positions(%v, 3) = %d, want %d", r, got, min(want, 4))
+		}
+	}
+}

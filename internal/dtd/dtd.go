@@ -184,7 +184,9 @@ func (d *DTD) Clone() *DTD {
 //     w.l.o.g.; the cardinality encoding of Section 4 relies on it);
 //   - every declared element type is connected to the root;
 //   - no name serves as both an element type and an attribute (E ∩ A = ∅);
-//   - the reserved text symbol is not used as an element type or attribute.
+//   - the reserved text symbol is not used as an element type or attribute;
+//   - no content model has more than MaxPositions positions, which bounds
+//     the memory its automaton takes.
 func (d *DTD) Check() error {
 	if d.Root == "" {
 		return fmt.Errorf("dtd: no root element type")
@@ -203,6 +205,9 @@ func (d *DTD) Check() error {
 				return fmt.Errorf("dtd: attribute name %q is reserved", TextSymbol)
 			}
 			attrNames[a] = true
+		}
+		if positions(e.Content, MaxPositions) > MaxPositions {
+			return fmt.Errorf("dtd: the content model of %q has more than %d positions (x+ counts twice x)", name, MaxPositions)
 		}
 		for _, ref := range Names(e.Content) {
 			if _, ok := d.elems[ref]; !ok {
